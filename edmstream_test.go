@@ -182,39 +182,6 @@ func TestPublicOptionsValidation(t *testing.T) {
 	}
 }
 
-// TestPublicIngestWorkersValidation is the table test for the
-// IngestWorkers knob: zero means "GOMAXPROCS" and every non-negative
-// count is accepted, while negative counts fail validation.
-func TestPublicIngestWorkersValidation(t *testing.T) {
-	tests := []struct {
-		name    string
-		workers int
-		wantErr bool
-	}{
-		{"default-gomaxprocs", 0, false},
-		{"single-threaded", 1, false},
-		{"explicit-pool", 4, false},
-		{"oversubscribed", 64, false},
-		{"negative", -1, true},
-		{"very-negative", -8, true},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			opts := Options{Radius: 1, IngestWorkers: tt.workers}
-			err := opts.Validate()
-			if tt.wantErr && err == nil {
-				t.Fatalf("IngestWorkers=%d accepted, want validation error", tt.workers)
-			}
-			if !tt.wantErr && err != nil {
-				t.Fatalf("IngestWorkers=%d rejected: %v", tt.workers, err)
-			}
-			if _, err := New(opts); (err != nil) != tt.wantErr {
-				t.Fatalf("New with IngestWorkers=%d: err = %v, wantErr %v", tt.workers, err, tt.wantErr)
-			}
-		})
-	}
-}
-
 func TestPublicTextStream(t *testing.T) {
 	c, err := New(Options{Radius: 0.4, Tau: 0.8, InitPoints: 100})
 	if err != nil {

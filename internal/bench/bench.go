@@ -1,7 +1,7 @@
 // Package bench is the experiment harness that regenerates every table
 // and figure of the paper's evaluation section (Sec. 6). Each Run*
-// function corresponds to one experiment ID listed in DESIGN.md, drives
-// the algorithms over the same synthetic workloads, and returns
+// function corresponds to one experiment ID listed by `edmbench -h`,
+// drives the algorithms over the same synthetic workloads, and returns
 // structured results that cmd/edmbench and the root-level benchmarks
 // print as the rows/series the paper reports.
 package bench

@@ -183,14 +183,14 @@ func RunDR(s Scale) (DRReport, error) {
 	remoteDir := filepath.Join(base, "remote")
 	addrFile := filepath.Join(base, "addr")
 
-	measuredBatches := s.Points / e2eIngestBatch
+	measuredBatches := s.Points / drillBatch
 	if measuredBatches < 8 {
-		return DRReport{}, fmt.Errorf("bench: the dr drill needs at least %d points, got %d", 8*e2eIngestBatch, s.Points)
+		return DRReport{}, fmt.Errorf("bench: the dr drill needs at least %d points, got %d", 8*drillBatch, s.Points)
 	}
-	warmupBatches := walWarmup / e2eIngestBatch
-	total := (warmupBatches + measuredBatches + drLiveBatches) * e2eIngestBatch
+	warmupBatches := walWarmup / drillBatch
+	total := (warmupBatches + measuredBatches + drLiveBatches) * drillBatch
 	pts := ServeStream(total, s.Seed, s.Rate)
-	bodies, err := e2eBodies(pts)
+	bodies, err := drillBodies(pts)
 	if err != nil {
 		return DRReport{}, err
 	}
@@ -203,10 +203,10 @@ func RunDR(s Scale) (DRReport, error) {
 
 	rep := DRReport{
 		Schema:                "edmstream-dr/v1",
-		Points:                measuredBatches * e2eIngestBatch,
+		Points:                measuredBatches * drillBatch,
 		Seed:                  s.Seed,
 		Rate:                  s.Rate,
-		IngestBatch:           e2eIngestBatch,
+		IngestBatch:           drillBatch,
 		RecoveryBudgetSeconds: drBudget.Seconds(),
 		GOMAXPROCS:            runtime.GOMAXPROCS(0),
 		NumCPU:                runtime.NumCPU(),
@@ -272,7 +272,7 @@ func RunDR(s Scale) (DRReport, error) {
 		}
 		acked++
 	}
-	rep.OutageAckedPoints = int64(outageEnd-outageStart) * e2eIngestBatch
+	rep.OutageAckedPoints = int64(outageEnd-outageStart) * drillBatch
 	if err := waitUntil(30*time.Second, 10*time.Millisecond, "the server to report archive-lagging", func() (bool, error) {
 		st, err := drStats(client, url)
 		if err != nil {
@@ -316,7 +316,7 @@ func RunDR(s Scale) (DRReport, error) {
 	}); err != nil {
 		return rep, err
 	}
-	rep.AckedPoints = int64(acked) * e2eIngestBatch
+	rep.AckedPoints = int64(acked) * drillBatch
 	a := preKill.Server.Archive
 	rep.ArchivedThroughSeq = a.ShippedThroughSeq
 	rep.ArchiveFailed = a.Failed
@@ -380,13 +380,13 @@ func RunDR(s Scale) (DRReport, error) {
 
 	// The recovery contract: whole batches only, nothing beyond what
 	// was acknowledged, nothing less than what the archive had sealed.
-	if recovered%e2eIngestBatch != 0 {
-		return rep, fmt.Errorf("bench: restore kept a partial batch: %d points is not a multiple of %d", recovered, e2eIngestBatch)
+	if recovered%drillBatch != 0 {
+		return rep, fmt.Errorf("bench: restore kept a partial batch: %d points is not a multiple of %d", recovered, drillBatch)
 	}
 	if recovered > rep.AckedPoints {
 		return rep, fmt.Errorf("bench: restore invented points: %d recovered, only %d acknowledged", recovered, rep.AckedPoints)
 	}
-	if sealed := int64(rep.ArchivedThroughSeq-1) * e2eIngestBatch; recovered < sealed {
+	if sealed := int64(rep.ArchivedThroughSeq-1) * drillBatch; recovered < sealed {
 		return rep, fmt.Errorf("bench: restore lost archived records: %d points recovered, the archive had sealed through %d", recovered, sealed)
 	}
 	if rep.RestoreCheckpoints == 0 || rep.RestoreSegments == 0 {
@@ -403,8 +403,8 @@ func RunDR(s Scale) (DRReport, error) {
 	if err != nil {
 		return rep, fmt.Errorf("bench: building reference clusterer: %w", err)
 	}
-	for b := 0; b < int(recovered)/e2eIngestBatch; b++ {
-		if err := ref.InsertBatch(pts[b*e2eIngestBatch : (b+1)*e2eIngestBatch]); err != nil {
+	for b := 0; b < int(recovered)/drillBatch; b++ {
+		if err := ref.InsertBatch(pts[b*drillBatch : (b+1)*drillBatch]); err != nil {
 			return rep, fmt.Errorf("bench: reference replay: %w", err)
 		}
 	}
@@ -444,7 +444,7 @@ func RunDR(s Scale) (DRReport, error) {
 		return rep, err
 	}
 	rep.PostRestartPoints = st3.Engine.Points
-	if want := recovered + int64(drLiveBatches)*e2eIngestBatch; rep.PostRestartPoints != want {
+	if want := recovered + int64(drLiveBatches)*drillBatch; rep.PostRestartPoints != want {
 		return rep, fmt.Errorf("bench: post-restore engine holds %d points, want %d", rep.PostRestartPoints, want)
 	}
 

@@ -37,7 +37,7 @@ func TestRunDRSmoke(t *testing.T) {
 	if rep.CompressionRatio <= 0 || rep.CompressionRatio >= 1 {
 		t.Errorf("compression ratio = %g, want in (0, 1)", rep.CompressionRatio)
 	}
-	if rep.RecoveredPoints == 0 || rep.RecoveredPoints%e2eIngestBatch != 0 {
+	if rep.RecoveredPoints == 0 || rep.RecoveredPoints%drillBatch != 0 {
 		t.Errorf("recovered %d points: zero or not whole batches", rep.RecoveredPoints)
 	}
 	if rep.RestoreCheckpoints == 0 || rep.RestoreSegments == 0 {
@@ -49,7 +49,7 @@ func TestRunDRSmoke(t *testing.T) {
 	if rep.RestartWallSeconds <= 0 || rep.RestartWallSeconds >= rep.RecoveryBudgetSeconds {
 		t.Errorf("restart wall = %gs against a %gs budget", rep.RestartWallSeconds, rep.RecoveryBudgetSeconds)
 	}
-	if want := rep.RecoveredPoints + drLiveBatches*e2eIngestBatch; rep.PostRestartPoints != want {
+	if want := rep.RecoveredPoints + drLiveBatches*drillBatch; rep.PostRestartPoints != want {
 		t.Errorf("post-restore points = %d, want %d", rep.PostRestartPoints, want)
 	}
 	if FormatDR(rep) == "" {

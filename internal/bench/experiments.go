@@ -639,8 +639,9 @@ func RunFig17(s Scale) ([]RadiusResult, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (not in the paper): design-choice studies called out in
-// DESIGN.md.
+// Ablations (not in the paper): design-choice studies of two choices
+// the paper leaves open, adaptive vs static τ under drift and the
+// cell granularity.
 // ---------------------------------------------------------------------------
 
 // AblationResult is one ablation row.

@@ -141,16 +141,16 @@ func tenantStats(client *http.Client, base, path string) (tenantStatsBody, error
 // seeds, whole batches, one spare batch per stream for the liveness
 // check after the restart.
 func tenantWorkload(s Scale) (batches int, bodies [][][]byte, pts [][]stream.Point, err error) {
-	batches = s.Points / (8 * e2eIngestBatch)
+	batches = s.Points / (8 * drillBatch)
 	if batches < 6 {
 		batches = 6
 	}
-	perStream := (batches + 1) * e2eIngestBatch // +1 spare liveness batch
+	perStream := (batches + 1) * drillBatch // +1 spare liveness batch
 	bodies = make([][][]byte, tenantStreams)
 	pts = make([][]stream.Point, tenantStreams)
 	for i := 0; i < tenantStreams; i++ {
 		pts[i] = ServeStream(perStream, s.Seed+int64(i), s.Rate)
-		bodies[i], err = e2eBodies(pts[i])
+		bodies[i], err = drillBodies(pts[i])
 		if err != nil {
 			return 0, nil, nil, err
 		}
@@ -168,7 +168,7 @@ func RunTenants(s Scale) (TenancyReport, error) {
 		Schema:           "edmstream-tenancy/v1",
 		Streams:          tenantStreams,
 		BatchesPerStream: batches,
-		IngestBatch:      e2eIngestBatch,
+		IngestBatch:      drillBatch,
 		MemoryBudget:     tenantBudget(),
 		GOMAXPROCS:       runtime.GOMAXPROCS(0),
 		NumCPU:           runtime.NumCPU(),
@@ -238,7 +238,7 @@ func runTenantBaseline(s Scale, bodies [][]byte) (float64, error) {
 		}
 	}
 	wall := time.Since(begin)
-	return float64(len(bodies)*e2eIngestBatch) / wall.Seconds(), nil
+	return float64(len(bodies)*drillBatch) / wall.Seconds(), nil
 }
 
 // startTenantChild re-execs this binary as the multi-tenant serving
@@ -357,9 +357,9 @@ func runTenantKill(s Scale, rep *TenancyReport, bodies [][][]byte, pts [][]strea
 	if rep.EvictionsBeforeKill == 0 {
 		return fmt.Errorf("bench: no evictions before the kill — the %d-byte budget exerted no pressure over %d streams", rep.MemoryBudget, tenantStreams)
 	}
-	rep.AggregatePointsPerSec = float64(killAfter*e2eIngestBatch) / time.Duration(threshWall.Load()).Seconds()
+	rep.AggregatePointsPerSec = float64(killAfter*drillBatch) / time.Duration(threshWall.Load()).Seconds()
 	for i := range acked {
-		rep.AckedPoints += acked[i] * e2eIngestBatch
+		rep.AckedPoints += acked[i] * drillBatch
 	}
 
 	// Restart on the same directory: discovery re-registers every named
@@ -384,10 +384,10 @@ func runTenantKill(s Scale, rep *TenancyReport, bodies [][][]byte, pts [][]strea
 			return fmt.Errorf("bench: %s post-restart stats: %w", name, err)
 		}
 		recovered := st.Engine.Points
-		if recovered%e2eIngestBatch != 0 {
+		if recovered%drillBatch != 0 {
 			return fmt.Errorf("bench: %s recovered a partial batch: %d points", name, recovered)
 		}
-		res.RecoveredBatches = int(recovered / e2eIngestBatch)
+		res.RecoveredBatches = int(recovered / drillBatch)
 		rep.RecoveredPoints += recovered
 		if res.RecoveredBatches < res.AckedBatches {
 			rep.PerStream = append(rep.PerStream, res)
@@ -409,7 +409,7 @@ func runTenantKill(s Scale, rep *TenancyReport, bodies [][][]byte, pts [][]strea
 			return err
 		}
 		for b := 0; b < res.RecoveredBatches; b++ {
-			if err := ref.InsertBatch(pts[i][b*e2eIngestBatch : (b+1)*e2eIngestBatch]); err != nil {
+			if err := ref.InsertBatch(pts[i][b*drillBatch : (b+1)*drillBatch]); err != nil {
 				return fmt.Errorf("bench: %s reference replay: %w", name, err)
 			}
 		}

@@ -50,6 +50,11 @@ const (
 	// cmd/edmbench and the bench test binary both divert to
 	// RunWALChild when it is set, before any flag parsing.
 	walChildEnv = "EDMBENCH_WAL_CHILD"
+	// drillBatch is the points per ingest request of the HTTP drills
+	// (wal, dr, tenants): small enough that concurrent writers give
+	// the coalescer real merging work, large enough to be a sane
+	// client batch.
+	drillBatch = 128
 )
 
 // WALThroughputResult is one durability mode's ingest measurement.
@@ -110,14 +115,44 @@ type WALReport struct {
 }
 
 // walOptions is the engine configuration shared by the children, the
-// throughput servers and the parent's reference engine. It pins the
-// route phase to one worker like the serve experiment does: the drill
-// asserts byte-identical recovery across processes, so the topology
-// itself must be identical everywhere the stream is replayed.
+// throughput servers and the parent's reference engine: grid index,
+// slow decay for a stable steady-state density ranking, evolution
+// tracking on so the events endpoint has traffic.
 func walOptions(rate float64) edmstream.Options {
-	o := e2eOptions(rate)
-	o.IngestWorkers = 1
-	return o
+	return edmstream.Options{
+		Radius:      1.0,
+		Rate:        rate,
+		Decay:       stream.Decay{A: 0.99999, Lambda: rate},
+		Beta:        3e-5,
+		Tau:         6.0,
+		InitPoints:  500,
+		IndexPolicy: edmstream.IndexGrid,
+	}
+}
+
+// drillBodies pre-renders the stream as ingest request bodies of
+// drillBatch points each (dropping the tail remainder).
+func drillBodies(pts []stream.Point) ([][]byte, error) {
+	nb := len(pts) / drillBatch
+	bodies := make([][]byte, 0, nb)
+	type wirePt struct {
+		ID     int64     `json:"id"`
+		Vector []float64 `json:"vector"`
+		Time   float64   `json:"time"`
+	}
+	batch := make([]wirePt, drillBatch)
+	for b := 0; b < nb; b++ {
+		for i := range batch {
+			p := pts[b*drillBatch+i]
+			batch[i] = wirePt{ID: p.ID, Vector: p.Vector, Time: p.Time}
+		}
+		raw, err := json.Marshal(batch)
+		if err != nil {
+			return nil, fmt.Errorf("bench: rendering ingest body: %w", err)
+		}
+		bodies = append(bodies, raw)
+	}
+	return bodies, nil
 }
 
 // walPost sends one pre-rendered ingest body and requires a 200.
@@ -177,24 +212,24 @@ func walStats(client *http.Client, base string) (walStatsBody, error) {
 // pool of the drill.
 func RunWAL(s Scale) (WALReport, error) {
 	const liveBatches = 2
-	measuredBatches := s.Points / e2eIngestBatch
+	measuredBatches := s.Points / drillBatch
 	if measuredBatches < 4 {
-		return WALReport{}, fmt.Errorf("bench: the wal experiment needs at least %d points, got %d", 4*e2eIngestBatch, s.Points)
+		return WALReport{}, fmt.Errorf("bench: the wal experiment needs at least %d points, got %d", 4*drillBatch, s.Points)
 	}
-	warmupBatches := walWarmup / e2eIngestBatch
-	total := (warmupBatches + measuredBatches + liveBatches) * e2eIngestBatch
+	warmupBatches := walWarmup / drillBatch
+	total := (warmupBatches + measuredBatches + liveBatches) * drillBatch
 	pts := ServeStream(total, s.Seed, s.Rate)
-	bodies, err := e2eBodies(pts)
+	bodies, err := drillBodies(pts)
 	if err != nil {
 		return WALReport{}, err
 	}
 
 	rep := WALReport{
 		Schema:      "edmstream-wal/v1",
-		Points:      measuredBatches * e2eIngestBatch,
+		Points:      measuredBatches * drillBatch,
 		Seed:        s.Seed,
 		Rate:        s.Rate,
-		IngestBatch: e2eIngestBatch,
+		IngestBatch: drillBatch,
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		NumCPU:      runtime.NumCPU(),
 	}
@@ -278,7 +313,7 @@ func runWALThroughput(noSync bool, s Scale, bodies [][]byte, warmupBatches int) 
 					firstErr.CompareAndSwap(nil, err)
 					return
 				}
-				npts.Add(e2eIngestBatch)
+				npts.Add(drillBatch)
 			}
 		}(w)
 	}
@@ -386,7 +421,7 @@ func runWALKill(s Scale, pts []stream.Point, bodies [][]byte, warmupBatches, liv
 	if writerErr != nil {
 		return WALKillResult{}, fmt.Errorf("bench: ingest before the kill: %w", writerErr)
 	}
-	ackedPoints := acked.Load() * e2eIngestBatch
+	ackedPoints := acked.Load() * drillBatch
 
 	// Restart on the same directory; startWALChild returning means
 	// recovery completed.
@@ -417,11 +452,11 @@ func runWALKill(s Scale, pts []stream.Point, bodies [][]byte, warmupBatches, liv
 	if recovered < ackedPoints {
 		return res, fmt.Errorf("bench: crash recovery lost acknowledged points: %d acked, %d recovered", ackedPoints, recovered)
 	}
-	if max := int64(len(send)) * e2eIngestBatch; recovered > max {
+	if max := int64(len(send)) * drillBatch; recovered > max {
 		return res, fmt.Errorf("bench: crash recovery invented points: %d recovered, only %d ever sent", recovered, max)
 	}
-	if recovered%e2eIngestBatch != 0 {
-		return res, fmt.Errorf("bench: crash recovery kept a partial batch: %d points is not a multiple of %d", recovered, e2eIngestBatch)
+	if recovered%drillBatch != 0 {
+		return res, fmt.Errorf("bench: crash recovery kept a partial batch: %d points is not a multiple of %d", recovered, drillBatch)
 	}
 
 	// Byte-identical equivalence: a fresh engine fed the recovered
@@ -431,8 +466,8 @@ func runWALKill(s Scale, pts []stream.Point, bodies [][]byte, warmupBatches, liv
 	if err != nil {
 		return res, fmt.Errorf("bench: building reference clusterer: %w", err)
 	}
-	for b := 0; b < int(recovered)/e2eIngestBatch; b++ {
-		if err := ref.InsertBatch(pts[b*e2eIngestBatch : (b+1)*e2eIngestBatch]); err != nil {
+	for b := 0; b < int(recovered)/drillBatch; b++ {
+		if err := ref.InsertBatch(pts[b*drillBatch : (b+1)*drillBatch]); err != nil {
 			return res, fmt.Errorf("bench: reference replay: %w", err)
 		}
 	}
@@ -472,7 +507,7 @@ func runWALKill(s Scale, pts []stream.Point, bodies [][]byte, warmupBatches, liv
 		return res, err
 	}
 	res.PostRestartPoints = st2.Engine.Points
-	if want := recovered + int64(liveBatches)*e2eIngestBatch; res.PostRestartPoints != want {
+	if want := recovered + int64(liveBatches)*drillBatch; res.PostRestartPoints != want {
 		return res, fmt.Errorf("bench: post-restart engine holds %d points, want %d", res.PostRestartPoints, want)
 	}
 

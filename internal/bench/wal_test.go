@@ -58,7 +58,7 @@ func TestRunWALSmoke(t *testing.T) {
 	if len(rep.Throughput) != 2 {
 		t.Fatalf("throughput modes = %d, want 2", len(rep.Throughput))
 	}
-	wantPts := int64(s.Points/e2eIngestBatch) * e2eIngestBatch
+	wantPts := int64(s.Points/drillBatch) * drillBatch
 	for _, tr := range rep.Throughput {
 		if tr.Points != wantPts {
 			t.Errorf("%s ingested %d points, want %d", tr.Mode, tr.Points, wantPts)
@@ -92,7 +92,7 @@ func TestRunWALSmoke(t *testing.T) {
 	if k.RecoveredPoints < k.AckedPoints {
 		t.Errorf("recovered %d < acked %d", k.RecoveredPoints, k.AckedPoints)
 	}
-	if k.RecoveredPoints%e2eIngestBatch != 0 {
+	if k.RecoveredPoints%drillBatch != 0 {
 		t.Errorf("recovered %d points: not whole batches", k.RecoveredPoints)
 	}
 	if !k.SnapshotIdentical {
@@ -104,7 +104,7 @@ func TestRunWALSmoke(t *testing.T) {
 	// ReplayedRecords is usually positive but legitimately zero when
 	// the kill lands exactly on a checkpoint boundary — reported, not
 	// asserted.
-	if want := k.RecoveredPoints + 2*e2eIngestBatch; k.PostRestartPoints != want {
+	if want := k.RecoveredPoints + 2*drillBatch; k.PostRestartPoints != want {
 		t.Errorf("post-restart points = %d, want %d", k.PostRestartPoints, want)
 	}
 	if FormatWAL(rep) == "" {

@@ -112,7 +112,8 @@ type ckptCell struct {
 	LastDistStamp int64
 }
 
-// ckptCluster is one incremental MSD cluster: its peak, member IDs in
+// ckptCluster is one incremental MSD cluster: its peak (-1 when the
+// peak was deleted since the last extraction), member IDs in
 // members-slice order, the tracker-assigned stable ID and whether the
 // snapshot-facing views were valid.
 type ckptCluster struct {
@@ -184,12 +185,11 @@ type ckptState struct {
 // fingerprint summarizes every configuration field that influences
 // clustering output or observable statistics; a checkpoint only
 // restores into an engine configured identically. %g/%v round-trip
-// float64 exactly (shortest unique representation). IngestWorkers is
-// excluded — the output is byte-identical for every worker count — and
-// TauSelector is excluded because it only runs at initialization,
-// which the checkpoint has already passed through (an uninitialized
-// checkpoint re-runs the selector of the restoring engine, which the
-// caller supplies along with the rest of the configuration).
+// float64 exactly (shortest unique representation). TauSelector is
+// excluded because it only runs at initialization, which the
+// checkpoint has already passed through (an uninitialized checkpoint
+// re-runs the selector of the restoring engine, which the caller
+// supplies along with the rest of the configuration).
 func (c Config) fingerprint() string {
 	return fmt.Sprintf("radius=%g decayA=%g decayL=%g beta=%g rate=%g tau=%g adaptive=%t alpha=%g init=%d filters=%d evolution=%g sweep=%g delete=%g maxevents=%d index=%s detailed=%t",
 		c.Radius, c.Decay.A, c.Decay.Lambda, c.Beta, c.Rate, c.Tau,
@@ -267,7 +267,10 @@ func (e *EDMStream) EncodeCheckpoint(w io.Writer) error {
 	}
 
 	for _, cl := range e.tree.clusters {
-		kc := ckptCluster{PeakID: cl.peak.id, ID: cl.id, ViewsValid: cl.viewsValid}
+		kc := ckptCluster{PeakID: -1, ID: cl.id, ViewsValid: cl.viewsValid}
+		if cl.peak != nil {
+			kc.PeakID = cl.peak.id
+		}
 		for _, c := range cl.members {
 			kc.MemberIDs = append(kc.MemberIDs, c.id)
 		}
@@ -475,12 +478,15 @@ func (e *EDMStream) restore(st *ckptState) error {
 
 	for i := range st.Clusters {
 		kc := &st.Clusters[i]
-		peak := e.cells.get(kc.PeakID)
-		if peak == nil {
-			return fmt.Errorf("core: cluster %d has missing peak cell %d", kc.ID, kc.PeakID)
+		cl := &msdCluster{id: kc.ID}
+		// A peak that names no live cell was deleted after the last
+		// extraction: -1, or its old ID in checkpoints written before
+		// deletion detached it. Either way the cluster is detached and
+		// drains at the next extraction, as it would have uninterrupted.
+		if peak := e.cells.get(kc.PeakID); peak != nil {
+			cl.peak = peak
+			peak.leads = cl
 		}
-		cl := &msdCluster{peak: peak, id: kc.ID}
-		peak.leads = cl
 		for j, mid := range kc.MemberIDs {
 			c := e.cells.get(mid)
 			if c == nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"github.com/densitymountain/edmstream/internal/distance"
@@ -26,13 +27,14 @@ func roundTrip(t *testing.T, e *EDMStream) *EDMStream {
 }
 
 // checkpointRun is batchRun with a checkpoint+restore inserted after
-// `cut` points: the engine is serialized, thrown away, rebuilt from
-// the checkpoint and fed the remainder of the stream. Its output must
-// be byte-identical to an uninterrupted run.
-func checkpointRun(t *testing.T, cfg Config, pts []stream.Point, batchSize, snapEvery, cut int) (*EDMStream, []Snapshot) {
+// every batch whose last point index `end` satisfies cut: the engine is
+// serialized, thrown away, rebuilt from the checkpoint and fed the
+// remainder of the stream. Its output must be byte-identical to an
+// uninterrupted run.
+func checkpointRun(t *testing.T, cfg Config, pts []stream.Point, batchSize, snapEvery int, cut func(end int) bool) (*EDMStream, []Snapshot) {
 	t.Helper()
-	if snapEvery%batchSize != 0 || cut%batchSize != 0 {
-		t.Fatalf("snapEvery %d and cut %d must be multiples of batchSize %d", snapEvery, cut, batchSize)
+	if snapEvery%batchSize != 0 {
+		t.Fatalf("snapEvery %d must be a multiple of batchSize %d", snapEvery, batchSize)
 	}
 	e, err := New(cfg)
 	if err != nil {
@@ -50,13 +52,13 @@ func checkpointRun(t *testing.T, cfg Config, pts []stream.Point, batchSize, snap
 		if end%snapEvery == 0 {
 			snaps = append(snaps, e.Snapshot())
 		}
-		if end == cut {
+		if cut(end) {
 			e = roundTrip(t, e)
 		}
 	}
 	snaps = append(snaps, e.Snapshot())
 	if err := e.CheckInvariants(); err != nil {
-		t.Fatalf("cut %d: %v", cut, err)
+		t.Fatal(err)
 	}
 	return e, snaps
 }
@@ -67,11 +69,15 @@ func checkpointRun(t *testing.T, cfg Config, pts []stream.Point, batchSize, snap
 // uninterrupted run — same snapshots (cluster IDs, peaks, members,
 // weights), same cells, same evolution events, same statistics and
 // same τ. The cut points cover the initialization phase (the engine is
-// checkpointed before the DP-Tree exists) and steady state.
+// checkpointed before the DP-Tree exists), steady state, and every
+// batch. The lattice stream under the default configuration demotes
+// and deletes cluster peaks between refreshes, so checkpointing after
+// every batch lands in that window many times.
 func TestCheckpointReplayEquivalence(t *testing.T) {
 	streams := map[string][]stream.Point{
 		"bursty":  burstyStream(7, 3000, 3, 0.15),
 		"shuffed": burstyStream(42, 2500, 4, 0.3),
+		"lattice": latticeStream(1, 3200, 20),
 	}
 	cfgs := map[string]Config{
 		"static": {
@@ -82,6 +88,7 @@ func TestCheckpointReplayEquivalence(t *testing.T) {
 			Radius: 0.8, AdaptiveTau: true, Tau: 2.5, InitPoints: 200,
 			EvolutionInterval: 0.25, SweepInterval: 0.2,
 		},
+		"default": {Radius: 1, Rate: 1000},
 	}
 	batchSizes := []int{25, 250}
 	const snapEvery = 500
@@ -96,8 +103,13 @@ func TestCheckpointReplayEquivalence(t *testing.T) {
 					// 2·bs lands inside the initialization phase for
 					// the small batch size (before InitPoints have
 					// arrived); 1500 is steady state for both.
-					for _, cut := range []int{2 * bs, 1500} {
-						name := fmt.Sprintf("%s/%s/%s/bs%d/cut%d", sname, cname, policy, bs, cut)
+					cuts := map[string]func(int) bool{
+						fmt.Sprintf("cut%d", 2*bs): func(end int) bool { return end == 2*bs },
+						"cut1500":                  func(end int) bool { return end == 1500 },
+						"every":                    func(int) bool { return true },
+					}
+					for cutName, cut := range cuts {
+						name := fmt.Sprintf("%s/%s/%s/bs%d/%s", sname, cname, policy, bs, cutName)
 						t.Run(name, func(t *testing.T) {
 							ck, ckSnaps := checkpointRun(t, cfg, pts, bs, snapEvery, cut)
 							compareSnapshots(t, ckSnaps, refSnaps)
@@ -119,6 +131,42 @@ func TestCheckpointReplayEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// latticeStream generates a 2-D stream over a sites×sites lattice of
+// sites 4 apart, each with a random weight, in bursts of 2–6 points per
+// site plus 0.5% uniform noise, at 1000 points per stream-second. With
+// a cell radius of 1 every site is its own cell, and the light sites
+// lead small clusters that decay, are demoted and expire between
+// clustering refreshes.
+func latticeStream(seed int64, n, sites int) []stream.Point {
+	const spacing = 4.0
+	rng := rand.New(rand.NewSource(seed))
+	cum := make([]float64, sites*sites)
+	total := 0.0
+	for i := range cum {
+		total += 1 + 20*rng.Float64()
+		cum[i] = total
+	}
+	span := float64(sites) * spacing
+	pts := make([]stream.Point, 0, n)
+	emit := func(x, y float64) {
+		pts = append(pts, stream.Point{
+			ID: int64(len(pts)), Vector: []float64{x, y}, Time: float64(len(pts)) / 1000, Label: stream.NoLabel,
+		})
+	}
+	for len(pts) < n {
+		if rng.Float64() < 0.005 {
+			emit(rng.Float64()*span, rng.Float64()*span)
+			continue
+		}
+		s := sort.SearchFloat64s(cum, rng.Float64()*total)
+		x, y := float64(s/sites)*spacing, float64(s%sites)*spacing
+		for b := 2 + rng.Intn(5); b > 0 && len(pts) < n; b-- {
+			emit(x+rng.NormFloat64()*0.25, y+rng.NormFloat64()*0.25)
+		}
+	}
+	return pts
 }
 
 // TestCheckpointDeterministicBytes asserts the encoding itself is
@@ -196,7 +244,7 @@ func TestCheckpointTokenStream(t *testing.T) {
 		EvolutionInterval: 0.25, SweepInterval: 0.2}
 
 	ref, refSnaps := batchRun(t, cfg, pts, 50, 600)
-	ck, ckSnaps := checkpointRun(t, cfg, pts, 50, 600, 600)
+	ck, ckSnaps := checkpointRun(t, cfg, pts, 50, 600, func(end int) bool { return end == 600 })
 	compareSnapshots(t, ckSnaps, refSnaps)
 	compareCells(t, ck, ref)
 	compareEvents(t, ck.Events(), ref.Events())

@@ -35,7 +35,9 @@ import (
 // (Def. 2), maintained incrementally across clustering refreshes.
 type msdCluster struct {
 	// peak is the subtree's root: the member every other member
-	// transitively depends on through strong links.
+	// transitively depends on through strong links. It is nil between
+	// the deletion of a demoted peak and the next extraction, which
+	// drops the drained cluster.
 	peak *Cell
 	// members holds the cluster's cells, unordered; each cell's
 	// memberIdx is its slot here (O(1) removal).
@@ -166,7 +168,7 @@ func (t *dpTree) clusterFor(p *Cell) *msdCluster {
 	if cl := p.leads; cl != nil {
 		return cl
 	}
-	if x := p.cluster; x != nil && t.truePeak(x.peak) == p {
+	if x := p.cluster; x != nil && x.peak != nil && t.truePeak(x.peak) == p {
 		if x.peak.leads == x {
 			x.peak.leads = nil
 		}
@@ -259,7 +261,7 @@ func (t *dpTree) extract(tau float64) bool {
 	kept := t.clusters[:0]
 	for _, cl := range t.clusters {
 		if len(cl.members) == 0 {
-			if cl.peak.leads == cl {
+			if cl.peak != nil && cl.peak.leads == cl {
 				cl.peak.leads = nil
 			}
 			cl.peak = nil

@@ -75,8 +75,8 @@ type tauTuner struct {
 // intra-dependent-distance, which is exactly the goal Sec. 5 states.
 // (The paper's Eq. 15 prints the two ratios the other way up, which
 // contradicts that stated goal and degenerates to "always pick the
-// largest τ"; we implement the consistent form and record the deviation
-// in DESIGN.md.) Degenerate splits with no intra or no inter distances
+// largest τ"; we implement the consistent form, and this comment is
+// the record of the deviation.) Degenerate splits with no intra or no inter distances
 // evaluate to +Inf so they are never selected.
 func tauObjective(alpha, tau float64, deltas []float64) float64 {
 	if len(deltas) == 0 {

@@ -6,8 +6,9 @@
 // uses for the performance and quality experiments. Each simulator
 // matches the corresponding real dataset's cardinality, dimensionality,
 // number of classes and arrival character (burstiness, drift, activity
-// segments), which are the properties that drive the paper's curves;
-// see DESIGN.md Sec. 4 for the substitution rationale.
+// segments), which are the properties that drive the paper's curves.
+// Simulators replace the real datasets so that the module needs no
+// downloaded data.
 package gen
 
 import (

@@ -51,11 +51,6 @@ type Grid struct {
 	winCenter   []int64
 	winBuckets  []*gridBucket
 	winValid    bool
-
-	// view is the reusable epoch-frozen read-only handle returned by
-	// View() (see view.go); keeping it on the grid makes freezing
-	// allocation-free.
-	view gridView
 }
 
 type gridBucket struct {
@@ -83,7 +78,6 @@ func NewGrid(side float64) *Grid {
 		buckets:    make(map[uint64]*gridBucket),
 		vectorless: make(map[int64]stream.Point),
 	}
-	g.view.g = g
 	return g
 }
 

@@ -6,8 +6,8 @@
 //   - Writes (POST /v1/ingest) flow through a request coalescer: one
 //     writer goroutine owns the clusterer, accumulates concurrently
 //     arriving requests into a bounded window, and commits them with a
-//     single InsertBatchAssigned call, so the engine's parallel
-//     speculative router sees real batches under concurrent load and
+//     single InsertBatchAssigned call, so the engine's per-batch
+//     bookkeeping amortizes across requests under concurrent load and
 //     every request still gets its own per-point cell acks.
 //   - Reads (POST /v1/assign, GET /v1/snapshot, /v1/clusters/{id},
 //     /v1/events, /v1/stats) are served straight from the engine's
