@@ -56,7 +56,6 @@ type cliConfig struct {
 	adaptiveTau     bool
 	initPoints      int
 	maxEvents       int
-	coalesceWindow  time.Duration
 	maxBatch        int
 	maxPending      int
 	longPollTimeout time.Duration
@@ -144,7 +143,6 @@ func registerFlags(fs *flag.FlagSet, c *cliConfig) {
 	fs.BoolVar(&c.adaptiveTau, "adaptive-tau", false, "re-tune tau as the stream evolves")
 	fs.IntVar(&c.initPoints, "init-points", 0, "points buffered before the DP-Tree initializes (0 = library default)")
 	fs.IntVar(&c.maxEvents, "max-events", 0, "evolution log cap (0 = unlimited; cursors stay stable across trimming)")
-	fs.DurationVar(&c.coalesceWindow, "coalesce-window", 2*time.Millisecond, "how long the ingest coalescer holds a batch open for more requests")
 	fs.IntVar(&c.maxBatch, "max-batch", 0, "max points per coalesced batch (0 = default 4096)")
 	fs.IntVar(&c.maxPending, "max-pending", 0, "max queued ingest requests before backpressure (0 = default 1024)")
 	fs.DurationVar(&c.longPollTimeout, "longpoll-timeout", 30*time.Second, "max /v1/events long-poll hold time")
@@ -193,7 +191,6 @@ func buildOptions(c cliConfig) edmstream.Options {
 func buildServerConfig(c cliConfig) server.Config {
 	return server.Config{
 		Addr:            c.addr,
-		CoalesceWindow:  c.coalesceWindow,
 		MaxBatch:        c.maxBatch,
 		MaxPending:      c.maxPending,
 		LongPollTimeout: c.longPollTimeout,
@@ -257,8 +254,8 @@ func main() {
 	if err := s.Start(); err != nil {
 		log.Fatalf("edmserved: %v", err)
 	}
-	log.Printf("edmserved: serving on %s (radius %g, rate %g pt/s, coalesce window %v)",
-		s.Addr(), cfg.radius, cfg.rate, cfg.coalesceWindow)
+	log.Printf("edmserved: serving on %s (radius %g, rate %g pt/s)",
+		s.Addr(), cfg.radius, cfg.rate)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

@@ -21,7 +21,6 @@ func TestFlagMapping(t *testing.T) {
 		"-adaptive-tau",
 		"-init-points", "250",
 		"-max-events", "10000",
-		"-coalesce-window", "4ms",
 		"-max-batch", "2048",
 		"-max-pending", "64",
 		"-longpoll-timeout", "12s",
@@ -43,7 +42,7 @@ func TestFlagMapping(t *testing.T) {
 	}
 
 	sc := buildServerConfig(cfg)
-	if sc.Addr != "127.0.0.1:9901" || sc.CoalesceWindow != 4*time.Millisecond ||
+	if sc.Addr != "127.0.0.1:9901" ||
 		sc.MaxBatch != 2048 || sc.MaxPending != 64 ||
 		sc.LongPollTimeout != 12*time.Second || sc.MaxBodyBytes != 1<<20 {
 		t.Errorf("server config mapping wrong: %+v", sc)
@@ -110,13 +109,16 @@ func TestFlagDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cfg.addr != "127.0.0.1:8080" || cfg.rate != 1000 ||
-		cfg.coalesceWindow != 2*time.Millisecond ||
 		cfg.longPollTimeout != 30*time.Second ||
 		cfg.shutdownGrace != 15*time.Second {
 		t.Errorf("defaults wrong: %+v", cfg)
 	}
 	if cfg.radius != 0 {
 		t.Errorf("radius default = %g, want 0 (required flag)", cfg.radius)
+	}
+	// The coalescer has no timed window, so there is no flag for one.
+	if fs.Lookup("coalesce-window") != nil {
+		t.Error("-coalesce-window is still registered")
 	}
 	if cfg.archiveURL != "" || cfg.archiveQueue != 0 || cfg.archiveRetryBase != 0 ||
 		cfg.archiveRetryMax != 0 || cfg.recoveryBudget != 0 ||

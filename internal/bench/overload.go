@@ -541,7 +541,6 @@ func RunOverloadChild() error {
 		Addr:                  "127.0.0.1:0",
 		DataDir:               dir,
 		WALFS:                 ffs,
-		CoalesceWindow:        2 * time.Millisecond,
 		MaxBatch:              4 * overloadPtsPerReq,
 		MaxPending:            8,
 		IngestDeadline:        100 * time.Millisecond,

@@ -22,6 +22,7 @@ package obs
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -187,7 +188,7 @@ func (s *Sample) statsInto(buf []float64) Stats {
 	if len(buf) == 0 {
 		return st
 	}
-	insertionSort(buf)
+	slices.Sort(buf)
 	st.P50 = quantile(buf, 0.50)
 	st.P90 = quantile(buf, 0.90)
 	st.P99 = quantile(buf, 0.99)
@@ -204,21 +205,6 @@ func quantile(sorted []float64, q float64) float64 {
 		idx = len(sorted) - 1
 	}
 	return sorted[idx]
-}
-
-// insertionSort sorts in place. The slices are at most a few thousand
-// elements and often nearly sorted run-to-run; avoiding sort.Float64s
-// keeps the read path free of interface allocations.
-func insertionSort(a []float64) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
-	}
 }
 
 // Timing is a Sample observing durations, stored as float seconds

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -226,5 +228,62 @@ func TestConcurrentObserve(t *testing.T) {
 	}
 	if st := s.Stats(); st.Count != 4*5000 {
 		t.Errorf("sample lost observations: %d", st.Count)
+	}
+}
+
+// fillWindow fills every slot of a Sample's window with slotSamples
+// random values, one slot per period, and returns all of them: with
+// exactly slotSamples observations per slot, every value is retained.
+func fillWindow(s *Sample, clk *fakeClock, rng *rand.Rand) []float64 {
+	var all []float64
+	for slot := 0; slot < slotCount; slot++ {
+		if slot > 0 {
+			clk.advance(time.Duration(slotNanos))
+		}
+		for i := 0; i < slotSamples; i++ {
+			v := rng.ExpFloat64()
+			s.Observe(v)
+			all = append(all, v)
+		}
+	}
+	return all
+}
+
+// TestSampleQuantilesMatchSortedNearestRank pins the quantiles of a
+// full window of random data to nearest-rank quantiles computed
+// independently over sort.Float64s of the same values.
+func TestSampleQuantilesMatchSortedNearestRank(t *testing.T) {
+	r, clk := newTestRegistry()
+	s := r.Sample("lat", "")
+	all := fillWindow(s, clk, rand.New(rand.NewSource(7)))
+	sort.Float64s(all)
+	rank := func(q float64) float64 {
+		return all[int(math.Ceil(q*float64(len(all))))-1]
+	}
+	st := s.Stats()
+	if st.WindowCount != uint64(len(all)) {
+		t.Fatalf("window count = %d, want %d", st.WindowCount, len(all))
+	}
+	if st.P50 != rank(0.50) || st.P90 != rank(0.90) || st.P99 != rank(0.99) {
+		t.Errorf("quantiles = %g/%g/%g, want %g/%g/%g",
+			st.P50, st.P90, st.P99, rank(0.50), rank(0.90), rank(0.99))
+	}
+	if st.WindowMax != all[len(all)-1] {
+		t.Errorf("max = %g, want %g", st.WindowMax, all[len(all)-1])
+	}
+}
+
+// BenchmarkSampleStats measures one Stats read over a full window
+// (slotCount × slotSamples retained samples): the cost every /metrics
+// and /v1/stats scrape pays per distribution.
+func BenchmarkSampleStats(b *testing.B) {
+	r, clk := newTestRegistry()
+	s := r.Sample("lat", "")
+	fillWindow(s, clk, rand.New(rand.NewSource(7)))
+	buf := make([]float64, 0, slotCount*slotSamples)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = s.statsInto(buf[:0])
 	}
 }

@@ -30,13 +30,13 @@ const (
 // admission is the ingest admission controller plus the read-path
 // concurrency guard. The ingest rule: estimate the commit wait a
 // request admitted now would see — queued requests divided by the
-// observed requests-per-batch, times the observed flush latency — and
-// shed with 429 + Retry-After when the estimate exceeds the configured
-// deadline. The estimate uses only live inputs (the pending gauge) and
-// short-window distributions, so it tracks the queue as it drains and
-// stops shedding on its own; admitted requests additionally carry the
-// deadline as a context timeout on the queue send, the backstop for a
-// cold start with no flush history yet.
+// average requests-per-batch, times the average flush latency (see
+// coalescer.estimateWait) — and shed with 429 + Retry-After when the
+// estimate exceeds the configured deadline. The queue depth is the
+// live pending gauge, so the estimate tracks the queue as it drains
+// and stops shedding on its own; admitted requests additionally carry
+// the deadline as a context timeout on the queue send, the backstop
+// for a cold start with no flush history yet.
 type admission struct {
 	deadline time.Duration
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,14 +36,17 @@ type ingestReply struct {
 
 // coalescer accumulates concurrently arriving ingest requests into
 // single InsertBatchAssigned calls under single-writer ownership of
-// the clusterer's write path. A batch is held open for at most the
-// coalescing window after its first request and is flushed early when
-// it reaches maxBatch points. Each request's per-point cell acks are
+// the clusterer's write path. It batches without a timer (group commit
+// with no commit delay): a pass takes everything already queued, up to
+// maxBatch points, and flushes at once when the queue is empty. No
+// request ever waits for a partner; batches grow by themselves under
+// load, because requests queue while the writer is busy with the
+// previous flush or fsync. Each request's per-point cell acks are
 // carved out of the batch ack slice and delivered on its reply
 // channel.
 //
-// The writer is no longer a dedicated goroutine: runOne performs one
-// bounded pass (gather + flush one batch) and is scheduled through a
+// The writer is not a dedicated goroutine: runOne performs one bounded
+// pass (gather + flush one batch) and is scheduled through a
 // tenant.Pool handle, whose state machine guarantees runOne never runs
 // concurrently with itself. Every mutation of the coalescer's owned
 // state (carry, reused slices, the engine, the WAL) happens inside
@@ -51,7 +55,6 @@ type ingestReply struct {
 type coalescer struct {
 	c        *edmstream.Clusterer
 	queue    chan *ingestReq
-	window   time.Duration
 	maxBatch int
 
 	// wake schedules a runOne pass (the stream's pool-handle Wake).
@@ -63,10 +66,6 @@ type coalescer struct {
 	// it first, under the same single-ownership the probe's WAL and
 	// checkpoint writes require.
 	probeWanted atomic.Bool
-
-	// timer is the coalescing-window timer, reused across gathers.
-	// Owned by runOne.
-	timer *time.Timer
 
 	// carry holds a request dequeued during gather that would push
 	// the open batch past maxBatch; it becomes the trigger of the
@@ -100,9 +99,17 @@ type coalescer struct {
 	// recovers.
 	deg *degradedState
 
+	// Admission estimate: running averages (estimateWeight) of the
+	// latency of successful flushes, in seconds, and of requests per
+	// batch, stored as float64 bits. The writer folds in every
+	// successful flush; request goroutines read them with two atomic
+	// loads. A zero flush latency means no service history yet.
+	estFlush atomic.Uint64
+	estReqs  atomic.Uint64
+
 	// Telemetry: batch size in points, requests per batch, queue wait
-	// of the oldest request in each batch, successful flush latency
-	// (the admission estimator's service-time input), and totals.
+	// of the oldest request in each batch, successful flush latency,
+	// and totals.
 	batchSize     *obs.Sample
 	batchReqs     *obs.Sample
 	batchWait     obs.Timing
@@ -124,7 +131,6 @@ func newCoalescer(c *edmstream.Clusterer, cfg Config, reg *obs.Registry, labels 
 	return &coalescer{
 		c:             c,
 		queue:         make(chan *ingestReq, cfg.MaxPending),
-		window:        cfg.CoalesceWindow,
 		maxBatch:      cfg.MaxBatch,
 		stop:          make(chan struct{}),
 		done:          make(chan struct{}),
@@ -214,17 +220,9 @@ func (co *coalescer) runOne() bool {
 		return false
 	default:
 	}
-	var first *ingestReq
-	if co.carry != nil {
-		first, co.carry = co.carry, nil
-	} else {
-		select {
-		case first = <-co.queue:
-		default:
-			return false
-		}
+	if !co.gather() {
+		return false
 	}
-	co.gather(first)
 	co.flush()
 	return co.carry != nil || len(co.queue) > 0
 }
@@ -243,82 +241,69 @@ func (co *coalescer) probe() {
 	}
 }
 
+// estimateWeight is the weight a new successful flush gets in the
+// admission estimate's running averages (the RFC 6298 RTT smoothing
+// constant): about the last eight flushes dominate.
+const estimateWeight = 0.125
+
 // estimateWait predicts the commit wait a request admitted now would
-// see: the queued requests ahead of it, in batches of the observed
-// requests-per-batch, each taking the observed flush latency. Called
-// from request goroutines; every input is a lock-free instrument.
+// see: the queued requests ahead of it, in batches of the running
+// average requests-per-batch, each taking the running average flush
+// latency. Called from request goroutines; it costs three atomic
+// loads.
 func (co *coalescer) estimateWait() time.Duration {
 	pending := co.pending.Value()
 	if pending <= 0 {
 		return 0
 	}
-	fl := co.flushSeconds.Stats()
-	if fl.WindowCount == 0 {
+	flush := math.Float64frombits(co.estFlush.Load())
+	if flush == 0 {
 		return 0 // no service history yet; the queue-send deadline backstops
 	}
-	reqsPerBatch := co.batchReqs.Stats().P50
-	if reqsPerBatch < 1 {
-		reqsPerBatch = 1
-	}
+	reqsPerBatch := max(math.Float64frombits(co.estReqs.Load()), 1)
 	batchesAhead := float64(pending)/reqsPerBatch + 1
-	return time.Duration(batchesAhead * fl.P50 * float64(time.Second))
+	return time.Duration(batchesAhead * flush * float64(time.Second))
 }
 
-// gather collects requests for one batch: the triggering request,
-// then whatever arrives within the coalescing window, up to maxBatch
-// points. With a zero window it takes only what is already queued.
-// The window wait holds the pool worker for at most the window — the
-// bounded price of batching, identical to the dedicated-goroutine
-// behavior.
-func (co *coalescer) gather(first *ingestReq) {
-	co.reqs = append(co.reqs[:0], first)
-	npts := len(first.pts)
-
-	if co.window <= 0 {
-		for npts < co.maxBatch {
-			select {
-			case r := <-co.queue:
-				if npts+len(r.pts) > co.maxBatch {
-					co.carry = r
-					return
-				}
-				co.reqs = append(co.reqs, r)
-				npts += len(r.pts)
-			default:
-				return
-			}
+// noteService folds one successful flush into the admission estimate.
+// Writer-only, so the load-then-store pairs cannot lose an update.
+func (co *coalescer) noteService(flush time.Duration, reqs int) {
+	fold := func(avg *atomic.Uint64, v float64) {
+		if old := math.Float64frombits(avg.Load()); old != 0 {
+			v = old + estimateWeight*(v-old)
 		}
-		return
+		avg.Store(math.Float64bits(v))
 	}
+	fold(&co.estFlush, flush.Seconds())
+	fold(&co.estReqs, float64(reqs))
+}
 
-	if co.timer == nil {
-		co.timer = time.NewTimer(co.window)
-	} else {
-		co.timer.Reset(co.window)
+// gather collects one batch without waiting: the carried request, then
+// everything already queued, up to maxBatch points. A request that
+// would overflow the batch becomes the carry and opens the next one.
+// It reports whether the batch holds any request.
+func (co *coalescer) gather() bool {
+	co.reqs = co.reqs[:0]
+	npts := 0
+	if co.carry != nil {
+		co.reqs = append(co.reqs, co.carry)
+		npts = len(co.carry.pts)
+		co.carry = nil
 	}
-	defer func() {
-		if !co.timer.Stop() {
-			select {
-			case <-co.timer.C:
-			default:
-			}
-		}
-	}()
 	for npts < co.maxBatch {
 		select {
 		case r := <-co.queue:
-			if npts+len(r.pts) > co.maxBatch {
+			if npts > 0 && npts+len(r.pts) > co.maxBatch {
 				co.carry = r
-				return
+				return true
 			}
 			co.reqs = append(co.reqs, r)
 			npts += len(r.pts)
-		case <-co.timer.C:
-			return
-		case <-co.stop:
-			return
+		default:
+			return len(co.reqs) > 0
 		}
 	}
+	return true
 }
 
 // flush commits the gathered requests as one InsertBatchAssigned call
@@ -374,10 +359,12 @@ func (co *coalescer) flush() {
 	co.batchReqs.Observe(float64(len(co.reqs)))
 	co.batchWait.Observe(time.Since(oldest))
 	if err == nil {
-		// Only successful flushes feed the admission estimator: a
+		// Only successful flushes feed the admission estimate: a
 		// degraded fast-fail takes microseconds and would talk the
 		// estimate down exactly when the server cannot serve.
-		co.flushSeconds.Observe(time.Since(begin))
+		took := time.Since(begin)
+		co.flushSeconds.Observe(took)
+		co.noteService(took, len(co.reqs))
 		co.pointsTotal.Add(uint64(len(co.pts)))
 		if co.dur != nil {
 			co.dur.noteCommitted(co.c, len(co.pts))
@@ -409,33 +396,7 @@ func (co *coalescer) flush() {
 // so no accepted work is dropped, then the loop exits and any
 // requests that arrive later get errDraining from submit.
 func (co *coalescer) drain() {
-	for {
-		var first *ingestReq
-		if co.carry != nil {
-			first, co.carry = co.carry, nil
-		} else {
-			select {
-			case first = <-co.queue:
-			default:
-				return
-			}
-		}
-		co.reqs = append(co.reqs[:0], first)
-		npts := len(first.pts)
-	gather:
-		for npts < co.maxBatch {
-			select {
-			case r := <-co.queue:
-				if npts+len(r.pts) > co.maxBatch {
-					co.carry = r
-					break gather
-				}
-				co.reqs = append(co.reqs, r)
-				npts += len(r.pts)
-			default:
-				break gather
-			}
-		}
+	for co.gather() {
 		co.flush()
 	}
 }

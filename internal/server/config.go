@@ -4,11 +4,11 @@
 // lock-free read path:
 //
 //   - Writes (POST /v1/ingest) flow through a request coalescer: one
-//     writer goroutine owns the clusterer, accumulates concurrently
-//     arriving requests into a bounded window, and commits them with a
-//     single InsertBatchAssigned call, so the engine's per-batch
-//     bookkeeping amortizes across requests under concurrent load and
-//     every request still gets its own per-point cell acks.
+//     writer owns the clusterer, takes every request already queued
+//     (never waiting for more), and commits them with a single
+//     InsertBatchAssigned call, so the engine's per-batch bookkeeping
+//     amortizes across requests under concurrent load and every
+//     request still gets its own per-point cell acks.
 //   - Reads (POST /v1/assign, GET /v1/snapshot, /v1/clusters/{id},
 //     /v1/events, /v1/stats) are served straight from the engine's
 //     atomically published state on the request goroutine — they never
@@ -33,25 +33,22 @@ import (
 	"github.com/densitymountain/edmstream/internal/wal"
 )
 
-// Config configures the serving daemon. The zero value is usable for
-// tests (loopback listener on an ephemeral port, sane coalescing
-// window); every field has a default.
+// Config configures the serving daemon. The zero value is usable;
+// every field has a default.
 type Config struct {
 	// Addr is the TCP listen address, e.g. ":8080" or
 	// "127.0.0.1:0" (ephemeral port, the test default). Default
 	// "127.0.0.1:8080".
 	Addr string
-	// CoalesceWindow is how long the ingest coalescer keeps a batch
-	// open for more concurrently arriving requests after the first
-	// one, trading a bounded latency increase for larger InsertBatch
-	// calls. Zero flushes a batch as soon as no further request is
-	// immediately available (minimum latency, still coalescing bursts
-	// already queued); negative is invalid. Default 2ms.
+	// CoalesceWindow is ignored: the ingest coalescer never holds a
+	// batch open. It flushes everything already queued as soon as the
+	// queue is empty, so batches grow only while the writer is busy.
+	//
+	// Deprecated: ignored; leave it unset.
 	CoalesceWindow time.Duration
 	// MaxBatch caps the number of points one coalesced InsertBatch
-	// call may carry; a batch is flushed as soon as it reaches the
-	// cap, window notwithstanding, and a request that would overflow
-	// an open batch triggers the next one instead. It also caps a
+	// call may carry; a request that would overflow a batch opens the
+	// next one instead. It also caps a
 	// single request's point count (larger requests are rejected with
 	// 400 — split them client-side). Zero means the default 4096;
 	// negative is invalid.
@@ -217,7 +214,6 @@ type Config struct {
 // Defaults.
 const (
 	defaultAddr            = "127.0.0.1:8080"
-	defaultCoalesceWindow  = 2 * time.Millisecond
 	defaultMaxBatch        = 4096
 	defaultMaxPending      = 1024
 	defaultLongPollTimeout = 30 * time.Second
@@ -246,10 +242,7 @@ func (c Config) archiveConfigured() bool {
 	return c.ArchiveURL != "" || c.ArchiveStore != nil
 }
 
-// withDefaults returns a copy with defaults filled in. CoalesceWindow
-// zero is preserved: it is the documented "no added wait" setting, not
-// an unset marker (the default window only applies through
-// DefaultConfig).
+// withDefaults returns a copy with defaults filled in.
 func (c Config) withDefaults() Config {
 	if c.Addr == "" {
 		c.Addr = defaultAddr
@@ -321,23 +314,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// DefaultConfig returns the production defaults, including the 2ms
-// coalescing window (a zero-valued Config keeps a zero window, which
-// coalesces only what is already queued).
+// DefaultConfig returns the production defaults.
 func DefaultConfig() Config {
-	c := Config{CoalesceWindow: defaultCoalesceWindow}.withDefaults()
-	return c
+	return Config{}.withDefaults()
 }
 
 // Validate checks the configuration, rejecting nonsense values with
 // errors naming the field and the constraint.
 func (c Config) Validate() error {
-	if c.CoalesceWindow < 0 {
-		return fmt.Errorf("server: CoalesceWindow must be non-negative (0 flushes immediately), got %v", c.CoalesceWindow)
-	}
-	if c.CoalesceWindow > time.Minute {
-		return fmt.Errorf("server: CoalesceWindow %v is absurd for a serving path (max 1m)", c.CoalesceWindow)
-	}
 	if c.MaxBatch < 0 {
 		return fmt.Errorf("server: MaxBatch must be non-negative (0 means the default %d), got %d", defaultMaxBatch, c.MaxBatch)
 	}

@@ -70,9 +70,8 @@ func TestDeterminismThroughNetworkPath(t *testing.T) {
 	}
 
 	// Path B: the same batches, in order, through the HTTP server (a
-	// nonzero coalescing window must be irrelevant for a single
-	// sequential writer: each request is its own batch).
-	served, _, base := startServer(t, opts, Config{CoalesceWindow: time.Millisecond})
+	// single sequential writer's requests each form their own batch).
+	served, _, base := startServer(t, opts, Config{})
 	var httpAcks [][]int64
 	for i := 0; i < n; i += batch {
 		req := make([]map[string]any, batch)

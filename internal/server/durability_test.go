@@ -54,7 +54,6 @@ func checkpointBytes(t *testing.T, c *edmstream.Clusterer) []byte {
 func TestGracefulShutdownDurableAckOnDisk(t *testing.T) {
 	dir := t.TempDir()
 	s, c, base := startServer(t, testOptions(), Config{
-		CoalesceWindow:  2 * time.Millisecond,
 		DataDir:         dir,
 		CheckpointEvery: 500,
 	})

@@ -70,8 +70,7 @@ func TestShapeMismatchRejected(t *testing.T) {
 func TestMaxBatchEnforced(t *testing.T) {
 	const maxBatch = 100
 	s, c, base := startServer(t, testOptions(), Config{
-		MaxBatch:       maxBatch,
-		CoalesceWindow: 5 * time.Millisecond,
+		MaxBatch: maxBatch,
 	})
 
 	// Oversized single request: rejected before queueing.

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -299,7 +300,7 @@ func TestAssignBeforeSnapshotPublishes(t *testing.T) {
 }
 
 func TestEventsCursorAndLongPoll(t *testing.T) {
-	_, _, base := startServer(t, testOptions(), Config{CoalesceWindow: time.Millisecond})
+	_, _, base := startServer(t, testOptions(), Config{})
 
 	// Drive past initialization so events exist.
 	pts := twoBlobPoints(3000, 2)
@@ -386,11 +387,27 @@ func TestEventsCursorAndLongPoll(t *testing.T) {
 // that the coalescer actually merges requests into multi-request
 // batches (the reason the subsystem exists).
 func TestConcurrentIngestCoalesces(t *testing.T) {
-	s, c, base := startServer(t, testOptions(), Config{CoalesceWindow: 5 * time.Millisecond})
+	s, c, base := startServer(t, testOptions(), Config{})
 
 	const writers = 8
 	const perWriter = 20
 	const ptsPerReq = 20
+
+	// The coalescer never waits for a partner, so tiny requests on an
+	// idle writer may each flush alone. Hold the writer inside its
+	// first flush until every writer has a request queued: the next
+	// pass then must merge all of them, deterministically.
+	flushHook := s.coal.onFlush
+	var held atomic.Bool
+	s.coal.onFlush = func() {
+		if held.CompareAndSwap(false, true) {
+			deadline := time.Now().Add(10 * time.Second)
+			for s.coal.pending.Value() < writers && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		flushHook()
+	}
 	var wg sync.WaitGroup
 	errs := make(chan error, writers)
 	for w := 0; w < writers; w++ {

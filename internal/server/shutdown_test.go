@@ -21,7 +21,7 @@ import (
 // straddle the shutdown may get 503 (not accepted, free to retry);
 // what is never allowed is a 200 whose points are missing.
 func TestGracefulShutdownDropsNoAcceptedIngest(t *testing.T) {
-	s, c, base := startServer(t, testOptions(), Config{CoalesceWindow: 2 * time.Millisecond})
+	s, c, base := startServer(t, testOptions(), Config{})
 
 	const writers = 6
 	const ptsPerReq = 25

@@ -402,6 +402,19 @@ func (l *Log) readCheckpointFile(meta segMeta) ([]byte, error) {
 // collects the tail past the checkpoint for Replay, truncates at the
 // first invalid record and drops everything beyond it.
 func (l *Log) scanSegments() error {
+	// A segment whose successor starts at or below the checkpoint
+	// boundary holds only covered records: remove it up front, as prune
+	// does after a checkpoint. Such a segment cannot prove anything
+	// about the tail, so neither a gap after it nor damage inside it may
+	// cost the later segments' records. Both occur in practice: a
+	// torn tail truncated below the boundary stays behind the fresh
+	// segment appends restart in at ckptNext, and an archive restore
+	// can hold a stale covered segment whose successor was pruned
+	// locally before it was ever shipped.
+	for len(l.segments) > 1 && l.segments[1].firstSeq <= l.ckptNext {
+		_ = l.fs.Remove(filepath.Join(l.dir, l.segments[0].name))
+		l.segments = l.segments[1:]
+	}
 	valid := true // records so far form a contiguous valid prefix
 	var expect uint64
 	for i := 0; i < len(l.segments); i++ {
@@ -430,18 +443,9 @@ func (l *Log) scanSegments() error {
 		headerOK := len(data) >= segHeaderLen && string(data[:8]) == string(segMagic[:]) &&
 			binary.LittleEndian.Uint64(data[8:16]) == meta.firstSeq
 		if headerOK && expect != 0 && meta.firstSeq != expect {
-			// A sequence gap between segments normally proves the later
-			// one unreachable — unless the checkpoint covers the gap
-			// entirely. That state is left behind when a torn tail is
-			// truncated below the checkpoint boundary: appends restart in
-			// a fresh segment at ckptNext while the stale pre-checkpoint
-			// tail stays on disk until the next prune, and a second crash
-			// must not cost the fresh segment's acknowledged records.
-			if expect <= l.ckptNext && meta.firstSeq == l.ckptNext {
-				expect = meta.firstSeq
-			} else {
-				headerOK = false
-			}
+			// A sequence gap between segments proves the later one
+			// unreachable.
+			headerOK = false
 		}
 		if !headerOK {
 			// Bad or discontiguous header: nothing in this segment is

@@ -478,6 +478,67 @@ func TestMissingMiddleSegment(t *testing.T) {
 	}
 }
 
+// TestStaleCoveredSegmentBeforeGap: a covered segment left behind a
+// gap below the checkpoint boundary — what an archive restore holds
+// when the segment after it was pruned locally before it was ever
+// shipped — must not make the tail unreachable, whether the stale
+// segment is intact or torn.
+func TestStaleCoveredSegmentBeforeGap(t *testing.T) {
+	for _, torn := range []bool{false, true} {
+		t.Run(fmt.Sprintf("torn=%v", torn), func(t *testing.T) {
+			dir := t.TempDir()
+			recs := payloads(120)
+			l, err := Open(Options{Dir: dir, SegmentBytes: 1 << 10})
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			appendAll(t, l, recs[:80])
+			if l.Stats().Segments < 4 {
+				t.Fatalf("need at least 4 segments, got %d", l.Stats().Segments)
+			}
+			stale := l.segments[1]
+			raw, err := os.ReadFile(filepath.Join(dir, stale.name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.SaveCheckpoint([]byte("state at 80")); err != nil {
+				t.Fatalf("SaveCheckpoint: %v", err)
+			}
+			appendAll(t, l, recs[80:])
+			l.Close()
+
+			// Only the second segment comes back: the gap after it lies
+			// entirely below the checkpoint boundary.
+			if torn {
+				raw = raw[:len(raw)-3]
+			}
+			if err := os.WriteFile(filepath.Join(dir, stale.name), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			re, err := Open(Options{Dir: dir})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer re.Close()
+			if info := re.Info(); info.DroppedSegments != 0 || info.DroppedBytes != 0 {
+				t.Fatalf("recovery dropped data past a covered gap: %+v", info)
+			}
+			seqs, got := collect(t, re)
+			if len(got) != 40 || seqs[0] != 81 {
+				t.Fatalf("replayed %d records from seq %v, want 40 from 81", len(got), seqs)
+			}
+			for i := range got {
+				if !bytes.Equal(got[i], recs[80+i]) {
+					t.Fatalf("tail record %d differs", i)
+				}
+			}
+			if _, err := os.Stat(filepath.Join(dir, stale.name)); !os.IsNotExist(err) {
+				t.Fatalf("covered segment %s survived recovery (stat err %v)", stale.name, err)
+			}
+		})
+	}
+}
+
 // TestFaultInjectedTornWrite drives the torn-write crash through the
 // FaultFS harness: the append fails mid-write, the log wedges, and a
 // clean reopen of the same directory recovers every record that was
