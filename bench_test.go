@@ -352,27 +352,10 @@ func benchmarkIngestMode(b *testing.B, batchSize int) {
 // BenchmarkInsertBatch compares batched ingestion against per-point
 // ingestion on the bursty 2-D lattice workload (≈1600 simultaneously
 // active cells). The per-point and batch-256 sub-benchmarks measure
-// steady-state cost per point through the public API; the comparison
-// sub-benchmark runs the paired experiment behind `edmbench
-// throughput` and reports both modes' throughput plus the speedup.
+// steady-state cost per point through the public API.
 func BenchmarkInsertBatch(b *testing.B) {
 	b.Run("per-point", func(b *testing.B) { benchmarkIngestMode(b, 1) })
 	b.Run("batch-256", func(b *testing.B) { benchmarkIngestMode(b, bench.ThroughputBatchSize) })
-	b.Run("comparison", func(b *testing.B) {
-		s := benchScale()
-		var rep bench.ThroughputReport
-		for i := 0; i < b.N; i++ {
-			var err error
-			rep, err = bench.RunThroughput(s)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(rep.PerPoint.PointsPerSec, "perpoint_pts/sec")
-		b.ReportMetric(rep.Batch.PointsPerSec, "batch_pts/sec")
-		b.ReportMetric(rep.Batch.AllocsPerPoint, "batch_allocs/pt")
-		b.ReportMetric(rep.Speedup, "speedup")
-	})
 }
 
 // BenchmarkInsert measures the raw per-point insertion cost of

@@ -7,12 +7,13 @@
 //
 //	experiments: table2, fig6, fig7, fig8, fig9, fig10, fig11, fig12,
 //	             fig13, fig14, fig15 (alias table4), fig16, fig17,
-//	             ablation, index, throughput, serve, wal, overload,
-//	             dr, tenants, all
+//	             ablation, index, serve, wal, overload, dr, tenants,
+//	             all
 //
 // Flags control the workload scale; the defaults are large enough to
 // reproduce the paper's curve shapes while finishing in minutes on a
-// laptop.
+// laptop. The experiments with a machine-readable artifact write it
+// as BENCH_<name>.json in the working directory.
 package main
 
 import (
@@ -23,46 +24,12 @@ import (
 	"github.com/densitymountain/edmstream/internal/bench"
 )
 
-// The artifact paths of the experiments that write one, set by the
-// -json, -servejson, -waljson, -overloadjson, -drjson and -tenancyjson
-// flags.
-var (
-	throughputJSON string
-	serveJSON      string
-	walJSON        string
-	overloadJSON   string
-	drJSON         string
-	tenancyJSON    string
-)
-
 func main() {
-	// The wal kill-and-restart drill and the overload drill re-exec
-	// this binary as their durable serving children; divert before
-	// flag parsing.
-	if os.Getenv("EDMBENCH_WAL_CHILD") == "1" {
-		if err := bench.RunWALChild(); err != nil {
-			fmt.Fprintf(os.Stderr, "edmbench: wal child: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if os.Getenv("EDMBENCH_OVERLOAD_CHILD") == "1" {
-		if err := bench.RunOverloadChild(); err != nil {
-			fmt.Fprintf(os.Stderr, "edmbench: overload child: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if os.Getenv("EDMBENCH_TENANTS_CHILD") == "1" {
-		if err := bench.RunTenantsChild(); err != nil {
-			fmt.Fprintf(os.Stderr, "edmbench: tenants child: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if os.Getenv("EDMBENCH_DR_CHILD") == "1" {
-		if err := bench.RunDRChild(); err != nil {
-			fmt.Fprintf(os.Stderr, "edmbench: dr child: %v\n", err)
+	// The process-level drills re-exec this binary as their serving
+	// child; divert before flag parsing.
+	if os.Getenv(bench.ChildEnv) != "" {
+		if err := bench.RunChild(); err != nil {
+			fmt.Fprintf(os.Stderr, "edmbench: %s child: %v\n", os.Getenv(bench.ChildEnv), err)
 			os.Exit(1)
 		}
 		return
@@ -70,18 +37,6 @@ func main() {
 	points := flag.Int("points", 20000, "stream length per dataset")
 	seed := flag.Int64("seed", 1, "random seed for the synthetic generators")
 	rate := flag.Float64("rate", 1000, "arrival rate in points per second")
-	flag.StringVar(&throughputJSON, "json", "BENCH_throughput.json",
-		"path of the machine-readable artifact the throughput experiment writes (empty disables it)")
-	flag.StringVar(&serveJSON, "servejson", "BENCH_serve.json",
-		"path of the machine-readable artifact the serve experiment writes (empty disables it)")
-	flag.StringVar(&walJSON, "waljson", "BENCH_wal.json",
-		"path of the machine-readable artifact the wal experiment writes (empty disables it)")
-	flag.StringVar(&overloadJSON, "overloadjson", "BENCH_overload.json",
-		"path of the machine-readable artifact the overload drill writes (empty disables it)")
-	flag.StringVar(&drJSON, "drjson", "BENCH_recovery.json",
-		"path of the machine-readable artifact the disaster-recovery drill writes (empty disables it)")
-	flag.StringVar(&tenancyJSON, "tenancyjson", "BENCH_tenancy.json",
-		"path of the machine-readable artifact the tenants drill writes (empty disables it)")
 	flag.Usage = usage
 	flag.Parse()
 
@@ -115,8 +70,6 @@ experiments:
   fig17     effect of the cluster-cell radius (Fig. 17 a-b)
   ablation  extra design-choice studies
   index     nearest-seed index: grid vs linear insert throughput
-  throughput  ingestion: per-point Insert vs batched InsertBatch
-              (writes the machine-readable BENCH_throughput.json artifact)
   serve     serving layer: incremental vs full snapshot refresh, and
             concurrent Assign queries (1 writer + 4 readers; writes the
             machine-readable BENCH_serve.json artifact)
@@ -271,80 +224,38 @@ func run(id string, s bench.Scale) error {
 			return err
 		}
 		fmt.Print(bench.FormatIndexBench(results))
-	case "throughput":
-		rep, err := bench.RunThroughput(s)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatThroughput(rep))
-		if throughputJSON != "" {
-			if err := bench.WriteThroughputJSON(throughputJSON, rep); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", throughputJSON)
-		}
 	case "serve":
 		rep, err := bench.RunServe(s)
 		if err != nil {
 			return err
 		}
-		fmt.Print(bench.FormatServe(rep))
-		if serveJSON != "" {
-			if err := bench.WriteServeJSON(serveJSON, rep); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", serveJSON)
-		}
+		return report(bench.FormatServe(rep), "BENCH_serve.json", rep)
 	case "wal":
 		rep, err := bench.RunWAL(s)
 		if err != nil {
 			return err
 		}
-		fmt.Print(bench.FormatWAL(rep))
-		if walJSON != "" {
-			if err := bench.WriteWALJSON(walJSON, rep); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", walJSON)
-		}
+		return report(bench.FormatWAL(rep), "BENCH_wal.json", rep)
 	case "overload":
 		rep, err := bench.RunOverload(s)
 		if err != nil {
 			return err
 		}
-		fmt.Print(bench.FormatOverload(rep))
-		if overloadJSON != "" {
-			if err := bench.WriteOverloadJSON(overloadJSON, rep); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", overloadJSON)
-		}
+		return report(bench.FormatOverload(rep), "BENCH_overload.json", rep)
 	case "dr":
 		rep, err := bench.RunDR(s)
 		if err != nil {
 			return err
 		}
-		fmt.Print(bench.FormatDR(rep))
-		if drJSON != "" {
-			if err := bench.WriteDRJSON(drJSON, rep); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", drJSON)
-		}
+		return report(bench.FormatDR(rep), "BENCH_recovery.json", rep)
 	case "tenants":
 		rep, err := bench.RunTenants(s)
 		if err != nil {
 			return err
 		}
-		fmt.Print(bench.FormatTenants(rep))
-		if tenancyJSON != "" {
-			if err := bench.WriteTenantsJSON(tenancyJSON, rep); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", tenancyJSON)
-		}
+		return report(bench.FormatTenants(rep), "BENCH_tenancy.json", rep)
 	case "all":
-		ids := []string{"table2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "ablation", "index", "throughput", "serve", "wal", "overload", "dr", "tenants"}
+		ids := []string{"table2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "ablation", "index", "serve", "wal", "overload", "dr", "tenants"}
 		for _, sub := range ids {
 			fmt.Printf("===== %s =====\n", sub)
 			if err := run(sub, s); err != nil {
@@ -355,5 +266,16 @@ func run(id string, s bench.Scale) error {
 	default:
 		return fmt.Errorf("unknown experiment %q (run edmbench -h for the list)", id)
 	}
+	return nil
+}
+
+// report prints an experiment's terminal rendering and writes its
+// machine-readable artifact.
+func report(text, artifact string, rep any) error {
+	fmt.Print(text)
+	if err := bench.WriteJSON(artifact, rep); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", artifact)
 	return nil
 }

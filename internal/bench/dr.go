@@ -2,21 +2,14 @@ package bench
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"os"
-	"os/signal"
-	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
-	"github.com/densitymountain/edmstream"
 	"github.com/densitymountain/edmstream/internal/archive"
 	"github.com/densitymountain/edmstream/internal/server"
 )
@@ -35,10 +28,6 @@ import (
 // inside the recovery-time budget (BENCH_recovery.json).
 
 const (
-	// drChildEnv marks a process as the disaster drill's serving child;
-	// cmd/edmbench and the bench test binary divert to RunDRChild when
-	// it is set, before any flag parsing.
-	drChildEnv = "EDMBENCH_DR_CHILD"
 	// drCheckpointEvery keeps checkpoints dense enough that the remote
 	// holds one well before the outage, so the restore exercises both
 	// the checkpoint download and the segment tail replay.
@@ -108,86 +97,19 @@ type DRReport struct {
 	NumCPU     int `json:"num_cpu"`
 }
 
-// drStatsBody is the slice of GET /v1/stats the drill consumes.
-type drStatsBody struct {
-	Engine struct {
-		Points int64 `json:"Points"`
-	} `json:"engine"`
-	Server struct {
-		Durability *struct {
-			BudgetCheckpoints    uint64 `json:"budget_checkpoints"`
-			ReplayPointsPerSec   int64  `json:"replay_points_per_sec"`
-			CheckpointCompressed bool   `json:"checkpoint_compressed"`
-		} `json:"durability"`
-		Archive *struct {
-			Shipped              uint64               `json:"shipped"`
-			ShippedBytes         uint64               `json:"shipped_bytes"`
-			ReadBytes            uint64               `json:"read_bytes"`
-			Failed               uint64               `json:"failed"`
-			Retried              uint64               `json:"retried"`
-			LagObjects           int64                `json:"lag_objects"`
-			Lagging              bool                 `json:"lagging"`
-			ShippedThroughSeq    uint64               `json:"shipped_through_seq"`
-			ShippedCheckpointSeq uint64               `json:"shipped_checkpoint_seq"`
-			Restore              *archive.RestoreInfo `json:"restore"`
-		} `json:"archive"`
-	} `json:"server"`
-}
-
-func drStats(client *http.Client, base string) (drStatsBody, error) {
-	raw, err := getShedRetry(client, base+"/v1/stats", 4, 10*time.Millisecond, time.Second, nil)
-	if err != nil {
-		return drStatsBody{}, err
-	}
-	var st drStatsBody
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return drStatsBody{}, fmt.Errorf("bench: stats response: %w", err)
-	}
-	return st, nil
-}
-
-// startDRChild re-execs this binary as the disaster drill's durable
-// serving child. The addr file is written only after server.New
-// returned — after any restore and recovery — so the parent's poll on
-// it doubles as a recovery barrier, and its wall time is the restart
-// the budget judges.
-func startDRChild(exe, dataDir, remoteDir, addrFile string, rate float64, restore bool) (*benchChild, error) {
-	restoreFlag := "0"
-	if restore {
-		restoreFlag = "1"
-	}
-	return startBenchChild(exe, []string{
-		drChildEnv + "=1",
-		"EDMBENCH_DR_DIR=" + dataDir,
-		"EDMBENCH_DR_REMOTE=" + remoteDir,
-		"EDMBENCH_DR_ADDR_FILE=" + addrFile,
-		fmt.Sprintf("EDMBENCH_DR_RATE=%g", rate),
-		fmt.Sprintf("EDMBENCH_DR_BUDGET_MS=%d", drBudget.Milliseconds()),
-		"EDMBENCH_DR_RESTORE=" + restoreFlag,
-	}, addrFile)
-}
-
 // RunDR drives the disaster-recovery drill end to end. s.Points is
 // the acknowledged traffic pool (rounded down to whole batches).
 func RunDR(s Scale) (DRReport, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return DRReport{}, fmt.Errorf("bench: locating own executable for the dr child: %w", err)
-	}
-	base, err := os.MkdirTemp("", "edmbench-dr-")
+	spec, dir, err := newChildSpec("dr", s.Rate)
 	if err != nil {
 		return DRReport{}, err
 	}
-	defer os.RemoveAll(base)
-	dataDir := filepath.Join(base, "data")
-	remoteDir := filepath.Join(base, "remote")
-	addrFile := filepath.Join(base, "addr")
-
+	defer os.RemoveAll(dir)
 	measuredBatches := s.Points / drillBatch
 	if measuredBatches < 8 {
 		return DRReport{}, fmt.Errorf("bench: the dr drill needs at least %d points, got %d", 8*drillBatch, s.Points)
 	}
-	warmupBatches := walWarmup / drillBatch
+	warmupBatches := drillWarmup / drillBatch
 	total := (warmupBatches + measuredBatches + drLiveBatches) * drillBatch
 	pts := ServeStream(total, s.Seed, s.Rate)
 	bodies, err := drillBodies(pts)
@@ -213,25 +135,19 @@ func RunDR(s Scale) (DRReport, error) {
 	}
 	client := &http.Client{}
 
-	child, err := startDRChild(exe, dataDir, remoteDir, addrFile, s.Rate, false)
+	child, err := startChild("dr", spec)
 	if err != nil {
 		return rep, err
 	}
-	childUp := true
-	defer func() {
-		if childUp {
-			_ = child.cmd.Process.Kill()
-			<-child.wait
-		}
-	}()
-	url := "http://" + child.addr
+	defer child.kill()
+	url := child.url
 
 	// One sequential writer: with requests strictly one at a time the
 	// acknowledged set is always an exact whole-batch prefix of the
 	// stream, which is what makes the reference replay well-defined.
 	acked := 0
 	post := func(b int) error {
-		if err := walPost(client, url, bodies[b]); err != nil {
+		if err := politeRetry.post(client, url+"/v1/ingest", bodies[b]); err != nil {
 			return fmt.Errorf("bench: dr ingest (batch %d): %w", b, err)
 		}
 		acked++
@@ -246,7 +162,7 @@ func RunDR(s Scale) (DRReport, error) {
 		}
 	}
 	if err := waitUntil(30*time.Second, 10*time.Millisecond, "the archive to hold a checkpoint and sealed segments", func() (bool, error) {
-		st, err := drStats(client, url)
+		st, err := fetchStats(client, url+"/v1/stats")
 		if err != nil {
 			return false, err
 		}
@@ -259,11 +175,11 @@ func RunDR(s Scale) (DRReport, error) {
 	// Phase 2: total remote outage. Every ingest must still be a clean
 	// first-try 200 — local durability is the ack authority, the
 	// archive only reports lag.
-	if err := child.cmd.Process.Signal(syscall.SIGUSR1); err != nil {
+	if err := child.fault(true); err != nil {
 		return rep, fmt.Errorf("bench: arming the remote outage: %w", err)
 	}
 	for b := outageStart; b < outageEnd; b++ {
-		status, _, raw, err := doPost(client, url+"/v1/ingest", bodies[b])
+		status, _, raw, err := doRequest(client, http.MethodPost, url+"/v1/ingest", bodies[b])
 		if err != nil {
 			return rep, fmt.Errorf("bench: ingest during the remote outage: %w", err)
 		}
@@ -274,7 +190,7 @@ func RunDR(s Scale) (DRReport, error) {
 	}
 	rep.OutageAckedPoints = int64(outageEnd-outageStart) * drillBatch
 	if err := waitUntil(30*time.Second, 10*time.Millisecond, "the server to report archive-lagging", func() (bool, error) {
-		st, err := drStats(client, url)
+		st, err := fetchStats(client, url+"/v1/stats")
 		if err != nil {
 			return false, err
 		}
@@ -282,7 +198,7 @@ func RunDR(s Scale) (DRReport, error) {
 		if a == nil || !a.Lagging || a.Failed == 0 {
 			return false, nil
 		}
-		raw, err := getShedRetry(client, url+"/healthz", 4, 10*time.Millisecond, time.Second, nil)
+		raw, err := politeRetry.get(client, url+"/healthz")
 		if err != nil {
 			return false, err
 		}
@@ -293,7 +209,7 @@ func RunDR(s Scale) (DRReport, error) {
 
 	// Phase 3: the remote heals (back to merely flaky); the shipper
 	// must catch up to zero lag on its own while traffic continues.
-	if err := child.cmd.Process.Signal(syscall.SIGUSR2); err != nil {
+	if err := child.fault(false); err != nil {
 		return rep, fmt.Errorf("bench: healing the remote: %w", err)
 	}
 	for b := outageEnd; b < killAt; b++ {
@@ -301,9 +217,9 @@ func RunDR(s Scale) (DRReport, error) {
 			return rep, err
 		}
 	}
-	var preKill drStatsBody
+	var preKill statsView
 	if err := waitUntil(30*time.Second, 10*time.Millisecond, "the shipper to catch up after the outage", func() (bool, error) {
-		st, err := drStats(client, url)
+		st, err := fetchStats(client, url+"/v1/stats")
 		if err != nil {
 			return false, err
 		}
@@ -336,28 +252,20 @@ func RunDR(s Scale) (DRReport, error) {
 
 	// The disaster: SIGKILL, then the data directory is destroyed
 	// outright. The remote archive is all that survives.
-	_ = child.cmd.Process.Kill()
-	<-child.wait
-	childUp = false
-	if err := os.RemoveAll(dataDir); err != nil {
+	child.kill()
+	if err := os.RemoveAll(spec.DataDir); err != nil {
 		return rep, fmt.Errorf("bench: destroying the data directory: %w", err)
 	}
 
+	spec.Restore = true
 	t0 := time.Now()
-	child2, err := startDRChild(exe, dataDir, remoteDir, addrFile, s.Rate, true)
+	child2, err := startChild("dr", spec)
 	if err != nil {
 		return rep, fmt.Errorf("bench: restore-from-archive restart: %w", err)
 	}
 	rep.RestartWallSeconds = time.Since(t0).Seconds()
-	defer func() {
-		if child2 != nil {
-			_ = child2.cmd.Process.Kill()
-			<-child2.wait
-		}
-	}()
-	url2 := "http://" + child2.addr
-
-	st2, err := drStats(client, url2)
+	defer child2.kill()
+	st2, err := fetchStats(client, child2.url+"/v1/stats")
 	if err != nil {
 		return rep, err
 	}
@@ -380,14 +288,9 @@ func RunDR(s Scale) (DRReport, error) {
 
 	// The recovery contract: whole batches only, nothing beyond what
 	// was acknowledged, nothing less than what the archive had sealed.
-	if recovered%drillBatch != 0 {
-		return rep, fmt.Errorf("bench: restore kept a partial batch: %d points is not a multiple of %d", recovered, drillBatch)
-	}
-	if recovered > rep.AckedPoints {
-		return rep, fmt.Errorf("bench: restore invented points: %d recovered, only %d acknowledged", recovered, rep.AckedPoints)
-	}
-	if sealed := int64(rep.ArchivedThroughSeq-1) * drillBatch; recovered < sealed {
-		return rep, fmt.Errorf("bench: restore lost archived records: %d points recovered, the archive had sealed through %d", recovered, sealed)
+	sealed := int64(rep.ArchivedThroughSeq-1) * drillBatch
+	if err := checkLedger("restore", recovered, drillBatch, sealed, rep.AckedPoints); err != nil {
+		return rep, err
 	}
 	if rep.RestoreCheckpoints == 0 || rep.RestoreSegments == 0 {
 		return rep, fmt.Errorf("bench: restore downloaded %d checkpoints and %d segments; the drill needs both paths exercised", rep.RestoreCheckpoints, rep.RestoreSegments)
@@ -396,94 +299,24 @@ func RunDR(s Scale) (DRReport, error) {
 		return rep, fmt.Errorf("bench: disaster restart took %.2fs, over the %.0fs recovery budget", rep.RestartWallSeconds, drBudget.Seconds())
 	}
 
-	// Byte-identical equivalence: a fresh engine fed the recovered
-	// prefix directly must publish the same clustering the restored
-	// server serves.
-	ref, err := edmstream.New(walOptions(s.Rate))
-	if err != nil {
-		return rep, fmt.Errorf("bench: building reference clusterer: %w", err)
-	}
-	for b := 0; b < int(recovered)/drillBatch; b++ {
-		if err := ref.InsertBatch(pts[b*drillBatch : (b+1)*drillBatch]); err != nil {
-			return rep, fmt.Errorf("bench: reference replay: %w", err)
-		}
-	}
-	refSrv, err := server.New(ref, server.Config{Addr: "127.0.0.1:0"})
-	if err != nil {
-		return rep, fmt.Errorf("bench: building reference server: %w", err)
-	}
-	if err := refSrv.Start(); err != nil {
-		return rep, fmt.Errorf("bench: starting reference server: %w", err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = refSrv.Shutdown(ctx)
-	}()
-	childSnap, err := walGet(client, url2, "/v1/snapshot")
-	if err != nil {
+	if err := checkReplay(client, child2.url+"/v1/snapshot", pts, recovered, s.Rate); err != nil {
 		return rep, err
-	}
-	refSnap, err := walGet(client, "http://"+refSrv.Addr(), "/v1/snapshot")
-	if err != nil {
-		return rep, err
-	}
-	if !bytes.Equal(childSnap, refSnap) {
-		return rep, fmt.Errorf("bench: restored clustering diverges from a fresh engine fed the same %d points (%d vs %d snapshot bytes)", recovered, len(childSnap), len(refSnap))
 	}
 	rep.SnapshotIdentical = true
-
-	// Liveness: the restored server keeps serving writes.
-	for _, body := range bodies[len(bodies)-drLiveBatches:] {
-		if err := walPost(client, url2, body); err != nil {
-			return rep, fmt.Errorf("bench: post-restore ingest: %w", err)
-		}
-	}
-	st3, err := drStats(client, url2)
-	if err != nil {
-		return rep, err
-	}
-	rep.PostRestartPoints = st3.Engine.Points
-	if want := recovered + int64(drLiveBatches)*drillBatch; rep.PostRestartPoints != want {
-		return rep, fmt.Errorf("bench: post-restore engine holds %d points, want %d", rep.PostRestartPoints, want)
-	}
-
-	// Graceful exit: SIGTERM must drain and return 0.
-	_ = child2.cmd.Process.Signal(syscall.SIGTERM)
-	if err := <-child2.wait; err != nil {
-		child2 = nil
-		return rep, fmt.Errorf("bench: graceful shutdown after the restore: %v", err)
-	}
-	child2 = nil
-	return rep, nil
+	rep.PostRestartPoints, err = finishLive(client, child2, liveStream{"/v1", bodies[len(bodies)-drLiveBatches:], recovered})
+	return rep, err
 }
 
-// RunDRChild is the disaster drill's serving child: a durable
-// edmserved shipping compressed checkpoints and sealed segments to a
-// fault-injected object store. The remote is flaky by construction —
-// periodic upload failures that leave truncated partial-upload debris
-// visible, and periodic download failures — and SIGUSR1/SIGUSR2 turn
-// a total outage on and off. SIGTERM drains gracefully.
-func RunDRChild() error {
-	dir := os.Getenv("EDMBENCH_DR_DIR")
-	remote := os.Getenv("EDMBENCH_DR_REMOTE")
-	addrFile := os.Getenv("EDMBENCH_DR_ADDR_FILE")
-	if dir == "" || remote == "" || addrFile == "" {
-		return errors.New("bench: EDMBENCH_DR_DIR, EDMBENCH_DR_REMOTE and EDMBENCH_DR_ADDR_FILE are required in child mode")
-	}
-	rate, err := strconv.ParseFloat(os.Getenv("EDMBENCH_DR_RATE"), 64)
+// drChild is the disaster drill's child: a durable edmserved shipping
+// compressed checkpoints and sealed segments to a fault-injected
+// object store under spec.RemoteDir. The remote is flaky by
+// construction — periodic upload failures that leave truncated
+// partial-upload debris visible, and periodic download failures — and
+// the drill's fault is a total outage.
+func drChild(spec childSpec) (server.Config, func(bool), error) {
+	inner, err := archive.NewDirStore(spec.RemoteDir)
 	if err != nil {
-		return fmt.Errorf("bench: EDMBENCH_DR_RATE: %w", err)
-	}
-	budgetMS, err := strconv.Atoi(os.Getenv("EDMBENCH_DR_BUDGET_MS"))
-	if err != nil {
-		return fmt.Errorf("bench: EDMBENCH_DR_BUDGET_MS: %w", err)
-	}
-	restore := os.Getenv("EDMBENCH_DR_RESTORE") == "1"
-
-	inner, err := archive.NewDirStore(remote)
-	if err != nil {
-		return err
+		return server.Config{}, nil, err
 	}
 	fstore := archive.NewFaultStore(inner)
 	// Flaky from the first byte: every 5th upload dies after leaving a
@@ -492,14 +325,7 @@ func RunDRChild() error {
 		archive.Fault{Op: "put", After: 3, Every: 5, Partial: 64},
 		archive.Fault{Op: "get", After: 1, Every: 4},
 	)
-
-	c, err := edmstream.New(walOptions(rate))
-	if err != nil {
-		return err
-	}
-	srv, err := server.New(c, server.Config{
-		Addr:            "127.0.0.1:0",
-		DataDir:         dir,
+	return server.Config{
 		WALSegmentBytes: drSegmentBytes,
 		CheckpointEvery: drCheckpointEvery,
 
@@ -509,34 +335,9 @@ func RunDRChild() error {
 		ArchiveRetryMax:    250 * time.Millisecond,
 		ArchiveResync:      150 * time.Millisecond,
 		CheckpointCompress: true,
-		RecoveryBudget:     time.Duration(budgetMS) * time.Millisecond,
-		RestoreFromArchive: restore,
-	})
-	if err != nil {
-		return err
-	}
-	if err := srv.Start(); err != nil {
-		return err
-	}
-	if err := publishAddr(addrFile, srv.Addr()); err != nil {
-		return err
-	}
-
-	ch := make(chan os.Signal, 4)
-	signal.Notify(ch, syscall.SIGTERM, syscall.SIGINT, syscall.SIGUSR1, syscall.SIGUSR2)
-	for sig := range ch {
-		switch sig {
-		case syscall.SIGUSR1:
-			fstore.SetOutage(true)
-		case syscall.SIGUSR2:
-			fstore.SetOutage(false)
-		default:
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			return srv.Shutdown(ctx)
-		}
-	}
-	return nil
+		RecoveryBudget:     drBudget,
+		RestoreFromArchive: spec.Restore,
+	}, fstore.SetOutage, nil
 }
 
 // FormatDR renders the report for the terminal.
@@ -557,17 +358,4 @@ func FormatDR(rep DRReport) string {
 	fmt.Fprintf(&b, "restored clustering byte-identical to an uninterrupted run: %v\n", rep.SnapshotIdentical)
 	fmt.Fprintf(&b, "post-restore ingest accepted; engine at %d points, graceful drain clean\n", rep.PostRestartPoints)
 	return b.String()
-}
-
-// WriteDRJSON writes the machine-readable artifact.
-func WriteDRJSON(path string, rep DRReport) error {
-	raw, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return fmt.Errorf("bench: marshaling dr report: %w", err)
-	}
-	raw = append(raw, '\n')
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		return fmt.Errorf("bench: writing %s: %w", path, err)
-	}
-	return nil
 }

@@ -57,7 +57,7 @@ func TestRunDRSmoke(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "BENCH_recovery.json")
-	if err := WriteDRJSON(path, rep); err != nil {
+	if err := WriteJSON(path, rep); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)

@@ -200,21 +200,6 @@ func FormatIndexBench(results []IndexBenchResult) string {
 	return b.String()
 }
 
-// FormatThroughput renders the batched-ingestion throughput
-// experiment.
-func FormatThroughput(rep ThroughputReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ingestion throughput: per-point Insert vs InsertBatch (bursty 2-D lattice stream)\n")
-	fmt.Fprintf(&b, "%-10s %7s %12s %14s %15s %15s %9s\n",
-		"mode", "batch", "active", "points/sec", "allocs/point", "bytes/point", "clusters")
-	for _, r := range []ThroughputModeResult{rep.PerPoint, rep.Batch} {
-		fmt.Fprintf(&b, "%-10s %7d %12d %14.0f %15.3f %15.1f %9d\n",
-			r.Mode, r.BatchSize, r.ActiveCells, r.PointsPerSec, r.AllocsPerPoint, r.BytesPerPoint, r.Clusters)
-	}
-	fmt.Fprintf(&b, "batch speedup over per-point: %.2fx\n", rep.Speedup)
-	return b.String()
-}
-
 // FormatServe renders the serving experiment: incremental vs full
 // snapshot-refresh latency, and concurrent query throughput.
 func FormatServe(rep ServeReport) string {

@@ -2,24 +2,18 @@ package bench
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"os"
-	"os/signal"
-	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
-	"github.com/densitymountain/edmstream"
 	"github.com/densitymountain/edmstream/internal/server"
 	"github.com/densitymountain/edmstream/internal/wal"
 )
@@ -34,10 +28,6 @@ import (
 // (BENCH_overload.json).
 
 const (
-	// overloadChildEnv marks a process as the overload drill's serving
-	// child; cmd/edmbench and the bench test binary divert to
-	// RunOverloadChild when it is set, before any flag parsing.
-	overloadChildEnv = "EDMBENCH_OVERLOAD_CHILD"
 	// overloadSlowSync is the baseline injected fsync stall: the slow
 	// disk that pins the child's ingest capacity low enough for the
 	// parent to overload it 4x from ordinary goroutines.
@@ -102,32 +92,6 @@ type OverloadReport struct {
 	NumCPU     int `json:"num_cpu"`
 }
 
-// overloadStatsBody is the slice of GET /v1/stats the drill consumes.
-type overloadStatsBody struct {
-	Engine struct {
-		Points int64 `json:"Points"`
-	} `json:"engine"`
-	Server struct {
-		Degraded  bool `json:"degraded"`
-		Admission struct {
-			DegradedEntered   uint64 `json:"degraded_entered"`
-			DegradedRecovered uint64 `json:"degraded_recovered"`
-		} `json:"admission"`
-	} `json:"server"`
-}
-
-func overloadStats(client *http.Client, base string) (overloadStatsBody, error) {
-	raw, err := getShedRetry(client, base+"/v1/stats", 4, 10*time.Millisecond, time.Second, nil)
-	if err != nil {
-		return overloadStatsBody{}, err
-	}
-	var st overloadStatsBody
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return overloadStatsBody{}, fmt.Errorf("bench: stats response: %w", err)
-	}
-	return st, nil
-}
-
 // overloadBodies pre-renders ingest bodies WITHOUT ids or times (the
 // server stamps its own monotone stream clock), so the writers can
 // cycle them indefinitely.
@@ -155,18 +119,11 @@ func overloadBodies(seed int64, rate float64) ([][]byte, error) {
 // seed and rate; the traffic volume is governed by the drill's phases,
 // not s.Points.
 func RunOverload(s Scale) (OverloadReport, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return OverloadReport{}, fmt.Errorf("bench: locating own executable for the overload child: %w", err)
-	}
-	base, err := os.MkdirTemp("", "edmbench-overload-")
+	spec, dir, err := newChildSpec("overload", s.Rate)
 	if err != nil {
 		return OverloadReport{}, err
 	}
-	defer os.RemoveAll(base)
-	dataDir := filepath.Join(base, "data")
-	addrFile := filepath.Join(base, "addr")
-
+	defer os.RemoveAll(dir)
 	bodies, err := overloadBodies(s.Seed, s.Rate)
 	if err != nil {
 		return OverloadReport{}, err
@@ -175,28 +132,12 @@ func RunOverload(s Scale) (OverloadReport, error) {
 		MaxIdleConns:        overloadWriters + 4,
 		MaxIdleConnsPerHost: overloadWriters + 4,
 	}}
-
-	startChild := func() (*benchChild, error) {
-		return startBenchChild(exe, []string{
-			overloadChildEnv + "=1",
-			"EDMBENCH_OVERLOAD_DIR=" + dataDir,
-			"EDMBENCH_OVERLOAD_ADDR_FILE=" + addrFile,
-			fmt.Sprintf("EDMBENCH_OVERLOAD_RATE=%g", s.Rate),
-			fmt.Sprintf("EDMBENCH_OVERLOAD_SLOW_MS=%d", overloadSlowSync.Milliseconds()),
-		}, addrFile)
-	}
-	child, err := startChild()
+	child, err := startChild("overload", spec)
 	if err != nil {
 		return OverloadReport{}, err
 	}
-	childUp := true
-	defer func() {
-		if childUp {
-			_ = child.cmd.Process.Kill()
-			<-child.wait
-		}
-	}()
-	url := "http://" + child.addr
+	defer child.kill()
+	url := child.url
 
 	rep := OverloadReport{
 		Schema:           "edmstream-overload/v1",
@@ -211,7 +152,7 @@ func RunOverload(s Scale) (OverloadReport, error) {
 
 	// Warm-up: one polite writer past InitPoints.
 	for sent := 0; sent < overloadWarmup; sent += overloadPtsPerReq {
-		if _, err := postShedRetry(client, url+"/v1/ingest", bodies[(sent/overloadPtsPerReq)%len(bodies)], 8, 10*time.Millisecond, time.Second, nil); err != nil {
+		if err := politeRetry.post(client, url+"/v1/ingest", bodies[(sent/overloadPtsPerReq)%len(bodies)]); err != nil {
 			return rep, fmt.Errorf("bench: overload warm-up: %w", err)
 		}
 		totalAcked.Add(overloadPtsPerReq)
@@ -261,12 +202,12 @@ func RunOverload(s Scale) (OverloadReport, error) {
 	}
 
 	// The disk dies.
-	if err := child.cmd.Process.Signal(syscall.SIGUSR1); err != nil {
+	if err := child.fault(true); err != nil {
 		return fail(fmt.Errorf("bench: arming the disk fault: %w", err))
 	}
 	var tDegraded time.Time
 	if err := waitUntil(10*time.Second, 10*time.Millisecond, "the server to report degraded", func() (bool, error) {
-		st, err := overloadStats(client, url)
+		st, err := fetchStats(client, url+"/v1/stats")
 		if err != nil {
 			return false, err
 		}
@@ -282,12 +223,12 @@ func RunOverload(s Scale) (OverloadReport, error) {
 	// The disk heals (back to merely slow); the recovery probe must
 	// notice without a restart.
 	tClear := time.Now()
-	if err := child.cmd.Process.Signal(syscall.SIGUSR2); err != nil {
+	if err := child.fault(false); err != nil {
 		return fail(fmt.Errorf("bench: clearing the disk fault: %w", err))
 	}
 	var tRecovered time.Time
 	if err := waitUntil(15*time.Second, 10*time.Millisecond, "the server to recover", func() (bool, error) {
-		st, err := overloadStats(client, url)
+		st, err := fetchStats(client, url+"/v1/stats")
 		if err != nil {
 			return false, err
 		}
@@ -331,7 +272,7 @@ func RunOverload(s Scale) (OverloadReport, error) {
 	rep.OverloadFactor = rep.OfferedPointsPerSec / rep.CapacityPointsPerSec
 	rep.AcceptedP50Micros, rep.AcceptedP99Micros = res.quantiles()
 
-	st, err := overloadStats(client, url)
+	st, err := fetchStats(client, url+"/v1/stats")
 	if err != nil {
 		return rep, err
 	}
@@ -354,36 +295,25 @@ func RunOverload(s Scale) (OverloadReport, error) {
 
 	// Graceful drain: SIGTERM must exit 0 with every queued request
 	// serviced.
-	if err := child.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return rep, err
-	}
-	if err := <-child.wait; err != nil {
-		childUp = false
+	if err := child.stop(); err != nil {
 		return rep, fmt.Errorf("bench: graceful drain under overload: %v", err)
 	}
-	childUp = false
 
-	// The ledger check: a restarted child must hold EXACTLY the acked
-	// points — an ack that did not survive is data loss, a surplus is
-	// a shed or failed request that silently committed.
+	// The ledger: a restarted child must hold EXACTLY the acked points
+	// — an ack that did not survive is data loss, a surplus is a shed
+	// or failed request that silently committed.
 	rep.TotalAckedPoints = totalAcked.Load()
-	child2, err := startChild()
+	child2, err := startChild("overload", spec)
 	if err != nil {
 		return rep, fmt.Errorf("bench: restarting after the drill: %w", err)
 	}
-	defer func() {
-		_ = child2.cmd.Process.Signal(syscall.SIGTERM)
-		<-child2.wait
-	}()
-	st2, err := overloadStats(client, "http://"+child2.addr)
+	defer child2.stop()
+	st2, err := fetchStats(client, child2.url+"/v1/stats")
 	if err != nil {
 		return rep, err
 	}
 	rep.RecoveredPoints = st2.Engine.Points
-	if rep.RecoveredPoints != rep.TotalAckedPoints {
-		return rep, fmt.Errorf("bench: restarted server holds %d points but %d were acknowledged: the overload drill leaked or lost work", rep.RecoveredPoints, rep.TotalAckedPoints)
-	}
-	return rep, nil
+	return rep, checkLedger("the overload drill's drain and restart", rep.RecoveredPoints, overloadPtsPerReq, rep.TotalAckedPoints, rep.TotalAckedPoints)
 }
 
 // overloadCounters aggregates the writers' outcomes.
@@ -437,7 +367,7 @@ func overloadWriter(client *http.Client, url string, bodies [][]byte, seed int64
 		default:
 		}
 		t0 := time.Now()
-		status, header, raw, err := doPost(client, url+"/v1/ingest", bodies[rng.Intn(len(bodies))])
+		status, header, raw, err := doRequest(client, http.MethodPost, url+"/v1/ingest", bodies[rng.Intn(len(bodies))])
 		if err != nil {
 			return fmt.Errorf("bench: overload ingest transport: %w", err)
 		}
@@ -485,14 +415,14 @@ func overloadClosedLoop(client *http.Client, url string, bodies [][]byte, n int,
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w) + 101))
+			polite := shedRetry{attempts: 8, base: 5 * time.Millisecond, max: 250 * time.Millisecond, rng: rand.New(rand.NewSource(int64(w) + 101))}
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				if _, err := postShedRetry(client, url+"/v1/ingest", bodies[(w+i)%len(bodies)], 8, 5*time.Millisecond, 250*time.Millisecond, rng); err != nil {
+				if err := polite.post(client, url+"/v1/ingest", bodies[(w+i)%len(bodies)]); err != nil {
 					firstErr.CompareAndSwap(nil, err)
 					return
 				}
@@ -509,70 +439,30 @@ func overloadClosedLoop(client *http.Client, url string, bodies [][]byte, n int,
 	return closedLoopResult{ackedPoints: acked.Load(), wall: time.Since(begin)}, nil
 }
 
-// RunOverloadChild is the overload drill's serving child: a durable
-// edmserved on an injected slow disk, with tight admission settings
-// so the parent can force every shedding path. SIGUSR1 kills the disk
-// (sticky sync failure), SIGUSR2 heals it back to merely slow,
-// SIGTERM drains gracefully.
-func RunOverloadChild() error {
-	dir := os.Getenv("EDMBENCH_OVERLOAD_DIR")
-	addrFile := os.Getenv("EDMBENCH_OVERLOAD_ADDR_FILE")
-	if dir == "" || addrFile == "" {
-		return errors.New("bench: EDMBENCH_OVERLOAD_DIR and EDMBENCH_OVERLOAD_ADDR_FILE are required in child mode")
-	}
-	rate, err := strconv.ParseFloat(os.Getenv("EDMBENCH_OVERLOAD_RATE"), 64)
-	if err != nil {
-		return fmt.Errorf("bench: EDMBENCH_OVERLOAD_RATE: %w", err)
-	}
-	slowMS, err := strconv.Atoi(os.Getenv("EDMBENCH_OVERLOAD_SLOW_MS"))
-	if err != nil {
-		return fmt.Errorf("bench: EDMBENCH_OVERLOAD_SLOW_MS: %w", err)
-	}
-	slow := wal.Fault{Op: "sync", Sticky: true, Delay: time.Duration(slowMS) * time.Millisecond}
+// overloadChild is the overload drill's child: a durable edmserved on
+// an injected slow disk, with tight admission settings so the parent
+// can force every shedding path. Its fault kills the disk (a sticky
+// sync failure); clearing it heals the disk back to merely slow.
+func overloadChild(childSpec) (server.Config, func(bool), error) {
+	slow := wal.Fault{Op: "sync", Sticky: true, Delay: overloadSlowSync}
 	dead := wal.Fault{Op: "sync", Sticky: true}
-
 	ffs := wal.NewFaultFS(nil)
 	ffs.Inject(slow)
-	c, err := edmstream.New(walOptions(rate))
-	if err != nil {
-		return err
-	}
-	srv, err := server.New(c, server.Config{
-		Addr:                  "127.0.0.1:0",
-		DataDir:               dir,
-		WALFS:                 ffs,
-		MaxBatch:              4 * overloadPtsPerReq,
-		MaxPending:            8,
-		IngestDeadline:        100 * time.Millisecond,
-		DegradedProbeInterval: 100 * time.Millisecond,
-		WALRetryAttempts:      2,
-		CheckpointEvery:       1 << 20,
-	})
-	if err != nil {
-		return err
-	}
-	if err := srv.Start(); err != nil {
-		return err
-	}
-	if err := publishAddr(addrFile, srv.Addr()); err != nil {
-		return err
-	}
-
-	ch := make(chan os.Signal, 4)
-	signal.Notify(ch, syscall.SIGTERM, syscall.SIGINT, syscall.SIGUSR1, syscall.SIGUSR2)
-	for sig := range ch {
-		switch sig {
-		case syscall.SIGUSR1:
-			ffs.Inject(dead)
-		case syscall.SIGUSR2:
-			ffs.Inject(slow)
-		default:
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			return srv.Shutdown(ctx)
-		}
-	}
-	return nil
+	return server.Config{
+			WALFS:                 ffs,
+			MaxBatch:              4 * overloadPtsPerReq,
+			MaxPending:            8,
+			IngestDeadline:        100 * time.Millisecond,
+			DegradedProbeInterval: 100 * time.Millisecond,
+			WALRetryAttempts:      2,
+			CheckpointEvery:       1 << 20,
+		}, func(on bool) {
+			if on {
+				ffs.Inject(dead)
+			} else {
+				ffs.Inject(slow)
+			}
+		}, nil
 }
 
 // FormatOverload renders the report for the terminal.
@@ -591,17 +481,4 @@ func FormatOverload(rep OverloadReport) string {
 	fmt.Fprintf(&b, "ledger: %d acked points total, %d recovered after drain+restart (exact)\n",
 		rep.TotalAckedPoints, rep.RecoveredPoints)
 	return b.String()
-}
-
-// WriteOverloadJSON writes the machine-readable artifact.
-func WriteOverloadJSON(path string, rep OverloadReport) error {
-	raw, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return fmt.Errorf("bench: marshaling overload report: %w", err)
-	}
-	raw = append(raw, '\n')
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		return fmt.Errorf("bench: writing %s: %w", path, err)
-	}
-	return nil
 }

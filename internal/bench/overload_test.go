@@ -55,7 +55,7 @@ func TestRunOverloadSmoke(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "BENCH_overload.json")
-	if err := WriteOverloadJSON(path, rep); err != nil {
+	if err := WriteJSON(path, rep); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)

@@ -11,8 +11,7 @@ import (
 	"time"
 )
 
-// Shared HTTP retry/backoff for the experiments' clients (the e2e
-// warm-up, the wal drill and the overload drill). The retry contract
+// Shared HTTP retry/backoff for the drills' clients. The retry contract
 // is deliberately narrow: only clean shed responses — 429/503, where
 // the server definitively committed nothing — are retried, honoring
 // the Retry-After hint when present. Transport errors are returned
@@ -74,14 +73,16 @@ func backoffDelay(attempt int, base, max time.Duration, rng *rand.Rand) time.Dur
 	return d/2 + time.Duration(rand.Int63n(jitter))
 }
 
-// doPost issues one POST of a pre-rendered JSON body and drains the
+// doRequest issues one request (a nil body for a GET) and drains the
 // response, returning status, headers and body.
-func doPost(client *http.Client, url string, body []byte) (int, http.Header, []byte, error) {
-	req, err := http.NewRequest("POST", url, bytes.NewReader(body))
+func doRequest(client *http.Client, method, url string, body []byte) (int, http.Header, []byte, error) {
+	req, err := http.NewRequest(method, url, bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	resp, err := client.Do(req)
 	if err != nil {
 		return 0, nil, nil, err
@@ -94,63 +95,54 @@ func doPost(client *http.Client, url string, body []byte) (int, http.Header, []b
 	return resp.StatusCode, resp.Header, raw, nil
 }
 
-// postShedRetry POSTs until a 200, retrying shed responses with the
+// shedRetry is a client's retry budget for shed responses: attempts
+// tries, with the shared backoff from base to max between them.
+type shedRetry struct {
+	attempts  int
+	base, max time.Duration
+	rng       *rand.Rand // nil: the goroutine-safe global source
+}
+
+// politeRetry is the budget of every drill client that is not
+// deliberately overloading the server.
+var politeRetry = shedRetry{attempts: 8, base: 10 * time.Millisecond, max: time.Second}
+
+// post POSTs body until a 200.
+func (r shedRetry) post(client *http.Client, url string, body []byte) error {
+	_, err := r.do(client, http.MethodPost, url, body)
+	return err
+}
+
+// get GETs url until a 200 and returns the body.
+func (r shedRetry) get(client *http.Client, url string) ([]byte, error) {
+	return r.do(client, http.MethodGet, url, nil)
+}
+
+// do sends the request until a 200, retrying shed responses with the
 // shared backoff (preferring the server's Retry-After hint when it is
-// under the cap) and failing on anything else. Returns the 200 body.
-func postShedRetry(client *http.Client, url string, body []byte, attempts int, base, max time.Duration, rng *rand.Rand) ([]byte, error) {
+// under the cap) and failing on anything else.
+func (r shedRetry) do(client *http.Client, method, url string, body []byte) ([]byte, error) {
 	var last *shedReply
-	for attempt := 0; attempt < attempts; attempt++ {
+	for attempt := 0; attempt < r.attempts; attempt++ {
 		if attempt > 0 {
-			delay := backoffDelay(attempt, base, max, rng)
-			if last != nil && last.RetryAfterSeconds > 0 {
-				if hint := time.Duration(last.RetryAfterSeconds) * time.Second; hint > delay && hint <= max {
-					delay = hint
-				}
+			delay := backoffDelay(attempt, r.base, r.max, r.rng)
+			if hint := time.Duration(last.RetryAfterSeconds) * time.Second; hint > delay && hint <= r.max {
+				delay = hint
 			}
 			time.Sleep(delay)
 		}
-		status, header, raw, err := doPost(client, url, body)
+		status, header, raw, err := doRequest(client, method, url, body)
 		if err != nil {
 			return nil, err
 		}
 		if status == http.StatusOK {
 			return raw, nil
 		}
-		if shed := parseShed(status, header, raw); shed != nil {
-			last = shed
-			continue
+		if last = parseShed(status, header, raw); last == nil {
+			return nil, fmt.Errorf("bench: %s %s status %d: %s", method, url, status, raw)
 		}
-		return nil, fmt.Errorf("bench: %s status %d: %s", url, status, raw)
 	}
-	return nil, fmt.Errorf("bench: %s still shed after %d attempts (last: %d %s)", url, attempts, last.Status, last.Reason)
-}
-
-// getShedRetry GETs until a 200 with the same shed-only retry rule.
-func getShedRetry(client *http.Client, url string, attempts int, base, max time.Duration, rng *rand.Rand) ([]byte, error) {
-	var last *shedReply
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(backoffDelay(attempt, base, max, rng))
-		}
-		resp, err := client.Get(url)
-		if err != nil {
-			return nil, err
-		}
-		raw, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode == http.StatusOK {
-			return raw, nil
-		}
-		if shed := parseShed(resp.StatusCode, resp.Header, raw); shed != nil {
-			last = shed
-			continue
-		}
-		return nil, fmt.Errorf("bench: %s status %d: %s", url, resp.StatusCode, raw)
-	}
-	return nil, fmt.Errorf("bench: %s still shed after %d attempts (last: %d %s)", url, attempts, last.Status, last.Reason)
+	return nil, fmt.Errorf("bench: %s %s still shed after %d attempts (last: %d %s)", method, url, r.attempts, last.Status, last.Reason)
 }
 
 // waitUntil polls cond every interval until it reports done, the

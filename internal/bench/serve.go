@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -105,7 +103,7 @@ type ServeReport struct {
 }
 
 // ServeStream builds the steady-state serving workload: points drawn
-// from the same sites×sites lattice as the throughput experiment, but
+// from the same sites×sites lattice as ThroughputStream, but
 // with per-site weights forming smooth density mountains (a few
 // Gaussian humps spanning a 2–40 weight range) instead of independent
 // random weights. Neighboring sites then differ in density by a clear
@@ -188,7 +186,7 @@ func ServeStream(n int, seed int64, rate float64) []stream.Point {
 }
 
 // ServeConfig parameterizes EDMStream for the serving workload: the
-// throughput experiment's configuration, but with a slower decay
+// ThroughputConfig configuration, but with a slower decay
 // (a = 0.99999 per point, steady-state stream weight 100k instead of
 // 20k) so accumulated cell densities dwarf individual bursts and the
 // density ranking — and with it the DP-Tree's dependency links — is
@@ -539,18 +537,4 @@ func classifyServeProbes(pts []stream.Point) (cluster, noise []stream.Point) {
 		}
 	}
 	return cluster, noise
-}
-
-// WriteServeJSON writes the report to path as indented JSON (the
-// BENCH_serve.json artifact).
-func WriteServeJSON(path string, rep ServeReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return fmt.Errorf("bench: encoding serve report: %w", err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("bench: writing serve artifact: %w", err)
-	}
-	return nil
 }

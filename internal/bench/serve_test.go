@@ -2,7 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
 	"reflect"
 	"testing"
 
@@ -65,8 +67,16 @@ func TestRunServeSmall(t *testing.T) {
 func TestWriteServeJSON(t *testing.T) {
 	rep := ServeReport{Schema: "edmstream-serve/v2", Readers: ServeReaders}
 	path := t.TempDir() + "/BENCH_serve.json"
-	if err := WriteServeJSON(path, rep); err != nil {
+	if err := WriteJSON(path, rep); err != nil {
 		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back ServeReport
+	if err := json.Unmarshal(raw, &back); err != nil || back != rep {
+		t.Fatalf("artifact round-trip: %+v, %v", back, err)
 	}
 }
 

@@ -3,18 +3,12 @@ package bench
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"os"
-	"os/signal"
-	"path/filepath"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"github.com/densitymountain/edmstream"
@@ -45,8 +39,6 @@ const (
 	// and the evictor (correctly) refuses to touch it — real tenants
 	// interleave, so the drill's traffic does too.
 	tenantWriters = 8
-	// tenantChildEnv marks a process as the drill's serving child.
-	tenantChildEnv = "EDMBENCH_TENANTS_CHILD"
 	// tenantSweepInterval keeps the evictor hot while traffic runs.
 	tenantSweepInterval = 5 * time.Millisecond
 	// tenantEvictIdle evicts anything untouched for this long, so the
@@ -108,33 +100,6 @@ type TenancyReport struct {
 
 	GOMAXPROCS int `json:"gomaxprocs"`
 	NumCPU     int `json:"num_cpu"`
-}
-
-// tenantStatsBody is the slice of GET /v1/stats the drill consumes.
-type tenantStatsBody struct {
-	Engine struct {
-		Points int64 `json:"Points"`
-	} `json:"engine"`
-	Server struct {
-		Tenancy struct {
-			StreamsLive int    `json:"streams_live"`
-			WriterPool  int    `json:"writer_pool"`
-			Evictions   uint64 `json:"evictions"`
-			Revivals    uint64 `json:"revivals"`
-		} `json:"tenancy"`
-	} `json:"server"`
-}
-
-func tenantStats(client *http.Client, base, path string) (tenantStatsBody, error) {
-	raw, err := getShedRetry(client, base+path, 8, 10*time.Millisecond, time.Second, nil)
-	if err != nil {
-		return tenantStatsBody{}, err
-	}
-	var st tenantStatsBody
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return tenantStatsBody{}, fmt.Errorf("bench: stats response: %w", err)
-	}
-	return st, nil
 }
 
 // tenantWorkload builds every stream's deterministic input: distinct
@@ -233,7 +198,7 @@ func runTenantBaseline(s Scale, bodies [][]byte) (float64, error) {
 	base := "http://" + srv.Addr()
 	begin := time.Now()
 	for _, body := range bodies {
-		if err := walPost(client, base, body); err != nil {
+		if err := politeRetry.post(client, base+"/v1/ingest", body); err != nil {
 			return 0, fmt.Errorf("bench: baseline ingest: %w", err)
 		}
 	}
@@ -241,46 +206,25 @@ func runTenantBaseline(s Scale, bodies [][]byte) (float64, error) {
 	return float64(len(bodies)*drillBatch) / wall.Seconds(), nil
 }
 
-// startTenantChild re-execs this binary as the multi-tenant serving
-// child and waits for its address (published only after server.New —
-// after stream discovery and default-stream recovery).
-func startTenantChild(exe, dataDir, addrFile string, rate float64) (*benchChild, error) {
-	return startBenchChild(exe, []string{
-		tenantChildEnv + "=1",
-		"EDMBENCH_TENANTS_DIR=" + dataDir,
-		"EDMBENCH_TENANTS_ADDR_FILE=" + addrFile,
-		fmt.Sprintf("EDMBENCH_TENANTS_RATE=%g", rate),
-		fmt.Sprintf("EDMBENCH_TENANTS_BUDGET=%d", tenantBudget()),
-		fmt.Sprintf("EDMBENCH_TENANTS_CHECKPOINT_EVERY=%d", walCheckpointEvery),
-	}, addrFile)
-}
-
 // runTenantKill is the churn-and-crash phase. One sequential writer
 // per stream keeps every acknowledged set an exact batch prefix of
 // its stream, which is what makes the per-stream reference replays
 // well-defined.
 func runTenantKill(s Scale, rep *TenancyReport, bodies [][][]byte, pts [][]stream.Point) error {
-	exe, err := os.Executable()
-	if err != nil {
-		return fmt.Errorf("bench: locating own executable for the tenants child: %w", err)
-	}
-	base, err := os.MkdirTemp("", "edmbench-tenants-")
+	spec, dir, err := newChildSpec("tenants", s.Rate)
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(base)
-	dataDir := filepath.Join(base, "data")
-	addrFile := filepath.Join(base, "addr")
+	defer os.RemoveAll(dir)
 	client := &http.Client{Transport: &http.Transport{
 		MaxIdleConns:        tenantStreams + 4,
 		MaxIdleConnsPerHost: tenantStreams + 4,
 	}}
-
-	child, err := startTenantChild(exe, dataDir, addrFile, s.Rate)
+	child, err := startChild("tenants", spec)
 	if err != nil {
 		return err
 	}
-	childBase := "http://" + child.addr
+	defer child.kill()
 
 	batches := rep.BatchesPerStream
 	killAfter := int64(tenantStreams*batches) / 2
@@ -306,8 +250,8 @@ func runTenantKill(s Scale, rep *TenancyReport, bodies [][][]byte, pts [][]strea
 			for b := 0; b < batches; b++ {
 				for k := 0; k < perWriter; k++ {
 					i := w*perWriter + k
-					url := fmt.Sprintf("%s/v1/tenant-%02d/ingest", childBase, i)
-					if _, err := postShedRetry(client, url, bodies[i][b], 8, 10*time.Millisecond, time.Second, nil); err != nil {
+					url := fmt.Sprintf("%s/v1/tenant-%02d/ingest", child.url, i)
+					if err := politeRetry.post(client, url, bodies[i][b]); err != nil {
 						// After the SIGKILL a failed request is the crash
 						// happening — expected; before it, a real failure.
 						if !killIssued.Load() {
@@ -339,15 +283,14 @@ func runTenantKill(s Scale, rep *TenancyReport, bodies [][][]byte, pts [][]strea
 
 	// Grab the churn ledger while the child is still alive, then kill
 	// it mid-traffic.
-	st, err := tenantStats(client, childBase, "/v1/stats")
+	st, err := fetchStats(client, child.url+"/v1/stats")
 	if err != nil {
 		return fmt.Errorf("bench: pre-kill stats: %w", err)
 	}
 	rep.EvictionsBeforeKill = st.Server.Tenancy.Evictions
 	rep.WriterPool = st.Server.Tenancy.WriterPool
 	killIssued.Store(true)
-	_ = child.cmd.Process.Kill() // SIGKILL: no flush, no goodbye
-	<-child.wait
+	child.kill()
 	<-writersDone
 	for w, werr := range writerErrs {
 		if werr != nil {
@@ -364,83 +307,49 @@ func runTenantKill(s Scale, rep *TenancyReport, bodies [][][]byte, pts [][]strea
 
 	// Restart on the same directory: discovery re-registers every named
 	// stream, and each verification read revives one transparently.
-	child2, err := startTenantChild(exe, dataDir, addrFile, s.Rate)
+	child2, err := startChild("tenants", spec)
 	if err != nil {
 		return fmt.Errorf("bench: restarting after the kill: %w", err)
 	}
-	defer func() {
-		if child2 != nil {
-			_ = child2.cmd.Process.Kill()
-			<-child2.wait
-		}
-	}()
-	base2 := "http://" + child2.addr
+	defer child2.kill()
 
+	var live []liveStream
 	for i := 0; i < tenantStreams; i++ {
 		name := fmt.Sprintf("tenant-%02d", i)
 		res := TenantStreamResult{Stream: name, AckedBatches: int(acked[i])}
-		st, err := tenantStats(client, base2, "/v1/"+name+"/stats")
+		st, err := fetchStats(client, child2.url+"/v1/"+name+"/stats")
 		if err != nil {
 			return fmt.Errorf("bench: %s post-restart stats: %w", name, err)
 		}
 		recovered := st.Engine.Points
-		if recovered%drillBatch != 0 {
-			return fmt.Errorf("bench: %s recovered a partial batch: %d points", name, recovered)
-		}
 		res.RecoveredBatches = int(recovered / drillBatch)
 		rep.RecoveredPoints += recovered
-		if res.RecoveredBatches < res.AckedBatches {
-			rep.PerStream = append(rep.PerStream, res)
-			return fmt.Errorf("bench: %s lost acknowledged batches: %d acked, %d recovered", name, res.AckedBatches, res.RecoveredBatches)
-		}
-		if res.RecoveredBatches > res.AckedBatches+1 {
-			// One sequential writer has at most one in-flight request;
-			// anything beyond acked+1 was invented.
-			rep.PerStream = append(rep.PerStream, res)
-			return fmt.Errorf("bench: %s recovered %d batches with only %d acked and one in flight", name, res.RecoveredBatches, res.AckedBatches)
-		}
-
-		// Solo reference replay of exactly the recovered prefix: a
-		// fresh single-stream engine fed those batches directly must
-		// publish the identical clustering — tenancy, eviction churn
-		// and the crash were invisible to this stream's state.
-		ref, err := edmstream.New(walOptions(s.Rate))
-		if err != nil {
-			return err
-		}
-		for b := 0; b < res.RecoveredBatches; b++ {
-			if err := ref.InsertBatch(pts[i][b*drillBatch : (b+1)*drillBatch]); err != nil {
-				return fmt.Errorf("bench: %s reference replay: %w", name, err)
-			}
-		}
-		refSrv, err := server.New(ref, server.Config{Addr: "127.0.0.1:0"})
-		if err != nil {
-			return err
-		}
-		if err := refSrv.Start(); err != nil {
-			return err
-		}
-		childSnap, err := walGet(client, base2, "/v1/"+name+"/snapshot")
-		if err == nil {
-			var refSnap []byte
-			refSnap, err = walGet(client, "http://"+refSrv.Addr(), "/v1/snapshot")
-			if err == nil && !bytes.Equal(childSnap, refSnap) {
-				err = fmt.Errorf("bench: %s recovered clustering diverges from its solo replay of %d batches (%d vs %d snapshot bytes)",
-					name, res.RecoveredBatches, len(childSnap), len(refSnap))
-			}
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		_ = refSrv.Shutdown(ctx)
-		cancel()
-		if err != nil {
-			rep.PerStream = append(rep.PerStream, res)
-			return err
-		}
-		res.SnapshotIdentical = true
-		rep.StreamsVerified++
 		rep.PerStream = append(rep.PerStream, res)
+		// One sequential writer has at most one request in flight at
+		// the kill: it may have committed without its response.
+		ackedPts := acked[i] * drillBatch
+		if err := checkLedger(name+"'s recovery", recovered, drillBatch, ackedPts, ackedPts+drillBatch); err != nil {
+			return err
+		}
+		// Solo reference replay of exactly the recovered prefix:
+		// tenancy, eviction churn and the crash were invisible to this
+		// stream's state.
+		if err := checkReplay(client, child2.url+"/v1/"+name+"/snapshot", pts[i], recovered, s.Rate); err != nil {
+			return err
+		}
+		rep.PerStream[i].SnapshotIdentical = true
+		rep.StreamsVerified++
+		if i%8 == 0 {
+			// The spare batch lies beyond the sent range, so IDs never
+			// collide.
+			live = append(live, liveStream{"/v1/" + name, bodies[i][batches:], recovered})
+		}
 	}
-	st2, err := tenantStats(client, base2, "/v1/stats")
+	// Across all streams, at most one batch per writer was in flight.
+	if err := checkLedger("the tenant fleet's recovery", rep.RecoveredPoints, drillBatch, rep.AckedPoints, rep.AckedPoints+tenantWriters*drillBatch); err != nil {
+		return err
+	}
+	st2, err := fetchStats(client, child2.url+"/v1/stats")
 	if err != nil {
 		return err
 	}
@@ -449,78 +358,26 @@ func runTenantKill(s Scale, rep *TenancyReport, bodies [][][]byte, pts [][]strea
 		return fmt.Errorf("bench: only %d revivals after reading all %d streams", rep.RevivalsAfterRestart, tenantStreams)
 	}
 
-	// Liveness: revived streams keep accepting writes (the spare batch
-	// generated beyond the sent range, so IDs never collide).
-	for i := 0; i < tenantStreams; i += 8 {
-		url := fmt.Sprintf("%s/v1/tenant-%02d/ingest", base2, i)
-		if _, err := postShedRetry(client, url, bodies[i][batches], 8, 10*time.Millisecond, time.Second, nil); err != nil {
-			return fmt.Errorf("bench: post-restart ingest on tenant-%02d: %w", i, err)
-		}
+	// Liveness: revived streams keep accepting writes, then every
+	// stream's coalescer drains on SIGTERM.
+	if _, err := finishLive(client, child2, live...); err != nil {
+		return err
 	}
 	rep.PostRestartLive = true
-
-	// Graceful exit this time: SIGTERM must drain every stream's
-	// coalescer and return 0.
-	_ = child2.cmd.Process.Signal(syscall.SIGTERM)
-	if err := <-child2.wait; err != nil {
-		child2 = nil
-		return fmt.Errorf("bench: graceful shutdown after recovery: %v", err)
-	}
-	child2 = nil
 	return nil
 }
 
-// RunTenantsChild is the drill's serving child: a durable multi-tenant
-// edmserved instance with an engine factory, a tight memory budget and
-// a hot sweep cadence, configured through EDMBENCH_TENANTS_* variables.
-func RunTenantsChild() error {
-	dir := os.Getenv("EDMBENCH_TENANTS_DIR")
-	addrFile := os.Getenv("EDMBENCH_TENANTS_ADDR_FILE")
-	if dir == "" || addrFile == "" {
-		return errors.New("bench: EDMBENCH_TENANTS_DIR and EDMBENCH_TENANTS_ADDR_FILE are required in child mode")
-	}
-	rate, err := strconv.ParseFloat(os.Getenv("EDMBENCH_TENANTS_RATE"), 64)
-	if err != nil {
-		return fmt.Errorf("bench: EDMBENCH_TENANTS_RATE: %w", err)
-	}
-	budget, err := strconv.ParseInt(os.Getenv("EDMBENCH_TENANTS_BUDGET"), 10, 64)
-	if err != nil {
-		return fmt.Errorf("bench: EDMBENCH_TENANTS_BUDGET: %w", err)
-	}
-	ckptEvery, err := strconv.Atoi(os.Getenv("EDMBENCH_TENANTS_CHECKPOINT_EVERY"))
-	if err != nil {
-		return fmt.Errorf("bench: EDMBENCH_TENANTS_CHECKPOINT_EVERY: %w", err)
-	}
-
-	c, err := edmstream.New(walOptions(rate))
-	if err != nil {
-		return err
-	}
-	srv, err := server.New(c, server.Config{
-		Addr:            "127.0.0.1:0",
-		DataDir:         dir,
-		CheckpointEvery: ckptEvery,
-		MemoryBudget:    budget,
+// tenantsChild is the drill's child: a durable multi-tenant edmserved
+// with an engine factory, a tight memory budget and a hot sweep
+// cadence.
+func tenantsChild(spec childSpec) (server.Config, func(bool), error) {
+	return server.Config{
+		CheckpointEvery: walCheckpointEvery,
+		MemoryBudget:    tenantBudget(),
 		EvictIdleAfter:  tenantEvictIdle,
 		SweepInterval:   tenantSweepInterval,
-		NewEngine:       func() (*edmstream.Clusterer, error) { return edmstream.New(walOptions(rate)) },
-	})
-	if err != nil {
-		return err
-	}
-	if err := srv.Start(); err != nil {
-		return err
-	}
-	if err := publishAddr(addrFile, srv.Addr()); err != nil {
-		return err
-	}
-
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, syscall.SIGTERM, syscall.SIGINT)
-	<-ch
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	return srv.Shutdown(ctx)
+		NewEngine:       func() (*edmstream.Clusterer, error) { return edmstream.New(walOptions(spec.Rate)) },
+	}, nil, nil
 }
 
 // FormatTenants renders the report for the terminal.
@@ -544,17 +401,4 @@ func FormatTenants(rep TenancyReport) string {
 	fmt.Fprintf(&b, "  %d/%d streams byte-identical to their solo reference replays; post-restart ingest live: %v\n",
 		rep.StreamsVerified, rep.Streams, rep.PostRestartLive)
 	return b.String()
-}
-
-// WriteTenantsJSON writes the machine-readable artifact.
-func WriteTenantsJSON(path string, rep TenancyReport) error {
-	raw, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return fmt.Errorf("bench: marshaling tenancy report: %w", err)
-	}
-	raw = append(raw, '\n')
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		return fmt.Errorf("bench: writing %s: %w", path, err)
-	}
-	return nil
 }

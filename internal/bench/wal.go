@@ -3,18 +3,12 @@ package bench
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"os"
-	"os/signal"
-	"path/filepath"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"github.com/densitymountain/edmstream"
@@ -35,9 +29,6 @@ import (
 // make possible.
 
 const (
-	// walWarmup is the pre-measurement stream: enough to initialize
-	// the DP-Tree (InitPoints 500) and publish a first clustering.
-	walWarmup = 1024
 	// walWriters is the concurrent HTTP writer count of the
 	// throughput phase; concurrency is what lets one fsync cover
 	// several requests (group commit through the coalescer).
@@ -46,15 +37,6 @@ const (
 	// that the kill lands between checkpoints and recovery exercises
 	// both the checkpoint restore and the tail replay.
 	walCheckpointEvery = 1000
-	// walChildEnv marks a process as the kill-and-restart child.
-	// cmd/edmbench and the bench test binary both divert to
-	// RunWALChild when it is set, before any flag parsing.
-	walChildEnv = "EDMBENCH_WAL_CHILD"
-	// drillBatch is the points per ingest request of the HTTP drills
-	// (wal, dr, tenants): small enough that concurrent writers give
-	// the coalescer real merging work, large enough to be a sane
-	// client batch.
-	drillBatch = 128
 )
 
 // WALThroughputResult is one durability mode's ingest measurement.
@@ -114,98 +96,6 @@ type WALReport struct {
 	NumCPU        int           `json:"num_cpu"`
 }
 
-// walOptions is the engine configuration shared by the children, the
-// throughput servers and the parent's reference engine: grid index,
-// slow decay for a stable steady-state density ranking, evolution
-// tracking on so the events endpoint has traffic.
-func walOptions(rate float64) edmstream.Options {
-	return edmstream.Options{
-		Radius:      1.0,
-		Rate:        rate,
-		Decay:       stream.Decay{A: 0.99999, Lambda: rate},
-		Beta:        3e-5,
-		Tau:         6.0,
-		InitPoints:  500,
-		IndexPolicy: edmstream.IndexGrid,
-	}
-}
-
-// drillBodies pre-renders the stream as ingest request bodies of
-// drillBatch points each (dropping the tail remainder).
-func drillBodies(pts []stream.Point) ([][]byte, error) {
-	nb := len(pts) / drillBatch
-	bodies := make([][]byte, 0, nb)
-	type wirePt struct {
-		ID     int64     `json:"id"`
-		Vector []float64 `json:"vector"`
-		Time   float64   `json:"time"`
-	}
-	batch := make([]wirePt, drillBatch)
-	for b := 0; b < nb; b++ {
-		for i := range batch {
-			p := pts[b*drillBatch+i]
-			batch[i] = wirePt{ID: p.ID, Vector: p.Vector, Time: p.Time}
-		}
-		raw, err := json.Marshal(batch)
-		if err != nil {
-			return nil, fmt.Errorf("bench: rendering ingest body: %w", err)
-		}
-		bodies = append(bodies, raw)
-	}
-	return bodies, nil
-}
-
-// walPost sends one pre-rendered ingest body and requires a 200.
-// Shed responses retry through the shared backoff helper; transport
-// errors stay immediate, which is what lets the kill drill see the
-// SIGKILL as a failed request instead of replaying (and duplicating)
-// an ambiguous batch.
-func walPost(client *http.Client, base string, body []byte) error {
-	_, err := postShedRetry(client, base+"/v1/ingest", body, 4, 10*time.Millisecond, time.Second, nil)
-	return err
-}
-
-// walGet fetches one endpoint's raw body and requires a 200.
-func walGet(client *http.Client, base, path string) ([]byte, error) {
-	return getShedRetry(client, base+path, 4, 10*time.Millisecond, time.Second, nil)
-}
-
-// walStatsBody is the slice of GET /v1/stats the experiment consumes
-// (the wire contract, like any other client).
-type walStatsBody struct {
-	Engine struct {
-		Points int64 `json:"Points"`
-	} `json:"engine"`
-	Server struct {
-		Durability *struct {
-			Records     uint64  `json:"records"`
-			Bytes       uint64  `json:"bytes"`
-			Checkpoints uint64  `json:"checkpoints"`
-			Segments    int64   `json:"segments"`
-			NoSync      bool    `json:"no_sync"`
-			FsyncP50Sec float64 `json:"fsync_p50_seconds"`
-			FsyncP99Sec float64 `json:"fsync_p99_seconds"`
-			Recovery    struct {
-				HasCheckpoint   bool  `json:"has_checkpoint"`
-				RecordsReplayed int   `json:"records_replayed"`
-				DroppedBytes    int64 `json:"dropped_bytes"`
-			} `json:"recovery"`
-		} `json:"durability"`
-	} `json:"server"`
-}
-
-func walStats(client *http.Client, base string) (walStatsBody, error) {
-	raw, err := walGet(client, base, "/v1/stats")
-	if err != nil {
-		return walStatsBody{}, err
-	}
-	var st walStatsBody
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return walStatsBody{}, fmt.Errorf("bench: stats response: %w", err)
-	}
-	return st, nil
-}
-
 // RunWAL measures the durable ingest path and runs the kill-and-
 // restart drill. s.Points is the measured ingest volume per
 // throughput mode (rounded down to whole batches) and the traffic
@@ -216,7 +106,7 @@ func RunWAL(s Scale) (WALReport, error) {
 	if measuredBatches < 4 {
 		return WALReport{}, fmt.Errorf("bench: the wal experiment needs at least %d points, got %d", 4*drillBatch, s.Points)
 	}
-	warmupBatches := walWarmup / drillBatch
+	warmupBatches := drillWarmup / drillBatch
 	total := (warmupBatches + measuredBatches + liveBatches) * drillBatch
 	pts := ServeStream(total, s.Seed, s.Rate)
 	bodies, err := drillBodies(pts)
@@ -294,7 +184,7 @@ func runWALThroughput(noSync bool, s Scale, bodies [][]byte, warmupBatches int) 
 	}}
 
 	for b := 0; b < warmupBatches; b++ {
-		if err := walPost(client, base, bodies[b]); err != nil {
+		if err := politeRetry.post(client, base+"/v1/ingest", bodies[b]); err != nil {
 			return WALThroughputResult{}, fmt.Errorf("bench: %s warm-up: %w", mode, err)
 		}
 	}
@@ -309,7 +199,7 @@ func runWALThroughput(noSync bool, s Scale, bodies [][]byte, warmupBatches int) 
 		go func(w int) {
 			defer wg.Done()
 			for b := w; b < len(measured); b += walWriters {
-				if err := walPost(client, base, measured[b]); err != nil {
+				if err := politeRetry.post(client, base+"/v1/ingest", measured[b]); err != nil {
 					firstErr.CompareAndSwap(nil, err)
 					return
 				}
@@ -323,7 +213,7 @@ func runWALThroughput(noSync bool, s Scale, bodies [][]byte, warmupBatches int) 
 		return WALThroughputResult{}, fmt.Errorf("bench: %s ingest: %w", mode, err)
 	}
 
-	st, err := walStats(client, base)
+	st, err := fetchStats(client, base+"/v1/stats")
 	if err != nil {
 		return WALThroughputResult{}, err
 	}
@@ -347,18 +237,10 @@ func runWALThroughput(noSync bool, s Scale, bodies [][]byte, warmupBatches int) 
 	}, nil
 }
 
-// startWALChild re-execs this binary in child mode on the given WAL
-// directory and waits for it to report its bound address. The child
-// writes the addr file only after server.New returns — that is, after
-// recovery — so a returned child has finished recovering.
-func startWALChild(exe, dataDir, addrFile string, rate float64) (*benchChild, error) {
-	return startBenchChild(exe, []string{
-		walChildEnv + "=1",
-		"EDMBENCH_WAL_DIR=" + dataDir,
-		"EDMBENCH_WAL_ADDR_FILE=" + addrFile,
-		fmt.Sprintf("EDMBENCH_WAL_RATE=%g", rate),
-		fmt.Sprintf("EDMBENCH_WAL_CHECKPOINT_EVERY=%d", walCheckpointEvery),
-	}, addrFile)
+// walChild is the kill-and-restart child: a durable edmserved with a
+// dense checkpoint cadence and no fault beyond the SIGKILL.
+func walChild(childSpec) (server.Config, func(bool), error) {
+	return server.Config{CheckpointEvery: walCheckpointEvery}, nil, nil
 }
 
 // runWALKill is the crash drill: SIGKILL a durable child mid-traffic,
@@ -366,23 +248,17 @@ func startWALChild(exe, dataDir, addrFile string, rate float64) (*benchChild, er
 // state is exactly the acknowledged prefix — byte-identical to a
 // fresh engine fed that prefix directly.
 func runWALKill(s Scale, pts []stream.Point, bodies [][]byte, warmupBatches, liveBatches int) (WALKillResult, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return WALKillResult{}, fmt.Errorf("bench: locating own executable for the wal child: %w", err)
-	}
-	base, err := os.MkdirTemp("", "edmbench-wal-kill-")
+	spec, dir, err := newChildSpec("wal-kill", s.Rate)
 	if err != nil {
 		return WALKillResult{}, err
 	}
-	defer os.RemoveAll(base)
-	dataDir := filepath.Join(base, "data")
-	addrFile := filepath.Join(base, "addr")
+	defer os.RemoveAll(dir)
 	client := &http.Client{}
-
-	child, err := startWALChild(exe, dataDir, addrFile, s.Rate)
+	child, err := startChild("wal", spec)
 	if err != nil {
 		return WALKillResult{}, err
 	}
+	defer child.kill()
 
 	// One sequential writer: with requests strictly one at a time the
 	// acknowledged set is always an exact prefix of the stream, which
@@ -397,7 +273,7 @@ func runWALKill(s Scale, pts []stream.Point, bodies [][]byte, warmupBatches, liv
 	go func() {
 		defer close(done)
 		for _, body := range send {
-			if err := walPost(client, "http://"+child.addr, body); err != nil {
+			if err := politeRetry.post(client, child.url+"/v1/ingest", body); err != nil {
 				// The error after the SIGKILL is the crash happening
 				// mid-request — expected. Before it, it is a failure.
 				if !killIssued.Load() {
@@ -415,28 +291,21 @@ func runWALKill(s Scale, pts []stream.Point, bodies [][]byte, warmupBatches, liv
 	case <-done:
 	}
 	killIssued.Store(true)
-	_ = child.cmd.Process.Kill() // SIGKILL: no flush, no goodbye
-	<-child.wait
+	child.kill()
 	<-done
 	if writerErr != nil {
 		return WALKillResult{}, fmt.Errorf("bench: ingest before the kill: %w", writerErr)
 	}
 	ackedPoints := acked.Load() * drillBatch
 
-	// Restart on the same directory; startWALChild returning means
+	// Restart on the same directory; startChild returning means
 	// recovery completed.
-	child2, err := startWALChild(exe, dataDir, addrFile, s.Rate)
+	child2, err := startChild("wal", spec)
 	if err != nil {
 		return WALKillResult{}, fmt.Errorf("bench: restarting after the kill: %w", err)
 	}
-	defer func() {
-		if child2 != nil {
-			_ = child2.cmd.Process.Kill()
-			<-child2.wait
-		}
-	}()
-	base2 := "http://" + child2.addr
-	st, err := walStats(client, base2)
+	defer child2.kill()
+	st, err := fetchStats(client, child2.url+"/v1/stats")
 	if err != nil {
 		return WALKillResult{}, err
 	}
@@ -447,127 +316,18 @@ func runWALKill(s Scale, pts []stream.Point, bodies [][]byte, warmupBatches, liv
 		res.HasCheckpoint = st.Server.Durability.Recovery.HasCheckpoint
 	}
 
-	// The contract: every acknowledged point survived; nothing beyond
-	// the sent stream appeared; only whole batches exist.
-	if recovered < ackedPoints {
-		return res, fmt.Errorf("bench: crash recovery lost acknowledged points: %d acked, %d recovered", ackedPoints, recovered)
-	}
-	if max := int64(len(send)) * drillBatch; recovered > max {
-		return res, fmt.Errorf("bench: crash recovery invented points: %d recovered, only %d ever sent", recovered, max)
-	}
-	if recovered%drillBatch != 0 {
-		return res, fmt.Errorf("bench: crash recovery kept a partial batch: %d points is not a multiple of %d", recovered, drillBatch)
-	}
-
-	// Byte-identical equivalence: a fresh engine fed the recovered
-	// prefix directly must publish the same clustering the restarted
-	// server serves.
-	ref, err := edmstream.New(walOptions(s.Rate))
-	if err != nil {
-		return res, fmt.Errorf("bench: building reference clusterer: %w", err)
-	}
-	for b := 0; b < int(recovered)/drillBatch; b++ {
-		if err := ref.InsertBatch(pts[b*drillBatch : (b+1)*drillBatch]); err != nil {
-			return res, fmt.Errorf("bench: reference replay: %w", err)
-		}
-	}
-	refSrv, err := server.New(ref, server.Config{Addr: "127.0.0.1:0"})
-	if err != nil {
-		return res, fmt.Errorf("bench: building reference server: %w", err)
-	}
-	if err := refSrv.Start(); err != nil {
-		return res, fmt.Errorf("bench: starting reference server: %w", err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = refSrv.Shutdown(ctx)
-	}()
-	childSnap, err := walGet(client, base2, "/v1/snapshot")
-	if err != nil {
+	// The contract: every acknowledged point survived, nothing beyond
+	// the sent stream appeared, and the clustering is the one a fresh
+	// engine fed the recovered prefix publishes.
+	if err := checkLedger("crash recovery", recovered, drillBatch, ackedPoints, int64(len(send))*drillBatch); err != nil {
 		return res, err
 	}
-	refSnap, err := walGet(client, "http://"+refSrv.Addr(), "/v1/snapshot")
-	if err != nil {
+	if err := checkReplay(client, child2.url+"/v1/snapshot", pts, recovered, s.Rate); err != nil {
 		return res, err
-	}
-	if !bytes.Equal(childSnap, refSnap) {
-		return res, fmt.Errorf("bench: recovered clustering diverges from a fresh engine fed the same %d points (%d vs %d snapshot bytes)", recovered, len(childSnap), len(refSnap))
 	}
 	res.SnapshotIdentical = true
-
-	// Liveness: the recovered server keeps serving writes.
-	for _, body := range bodies[len(bodies)-liveBatches:] {
-		if err := walPost(client, base2, body); err != nil {
-			return res, fmt.Errorf("bench: post-restart ingest: %w", err)
-		}
-	}
-	st2, err := walStats(client, base2)
-	if err != nil {
-		return res, err
-	}
-	res.PostRestartPoints = st2.Engine.Points
-	if want := recovered + int64(liveBatches)*drillBatch; res.PostRestartPoints != want {
-		return res, fmt.Errorf("bench: post-restart engine holds %d points, want %d", res.PostRestartPoints, want)
-	}
-
-	// Graceful exit this time: SIGTERM must drain and return 0.
-	_ = child2.cmd.Process.Signal(syscall.SIGTERM)
-	if err := <-child2.wait; err != nil {
-		child2 = nil
-		return res, fmt.Errorf("bench: graceful shutdown after recovery: %v", err)
-	}
-	child2 = nil
-	return res, nil
-}
-
-// RunWALChild is the kill-and-restart child: a durable edmserved
-// instance on an ephemeral loopback port, configured through
-// EDMBENCH_WAL_* environment variables. It writes its bound address
-// to the addr file only after server.New returned — after recovery —
-// so the parent's poll on that file doubles as a recovery barrier.
-// Then it waits to be SIGKILLed (the crash) or SIGTERMed (the
-// graceful verification pass).
-func RunWALChild() error {
-	dir := os.Getenv("EDMBENCH_WAL_DIR")
-	addrFile := os.Getenv("EDMBENCH_WAL_ADDR_FILE")
-	if dir == "" || addrFile == "" {
-		return errors.New("bench: EDMBENCH_WAL_DIR and EDMBENCH_WAL_ADDR_FILE are required in child mode")
-	}
-	rate, err := strconv.ParseFloat(os.Getenv("EDMBENCH_WAL_RATE"), 64)
-	if err != nil {
-		return fmt.Errorf("bench: EDMBENCH_WAL_RATE: %w", err)
-	}
-	ckptEvery, err := strconv.Atoi(os.Getenv("EDMBENCH_WAL_CHECKPOINT_EVERY"))
-	if err != nil {
-		return fmt.Errorf("bench: EDMBENCH_WAL_CHECKPOINT_EVERY: %w", err)
-	}
-
-	c, err := edmstream.New(walOptions(rate))
-	if err != nil {
-		return err
-	}
-	srv, err := server.New(c, server.Config{
-		Addr:            "127.0.0.1:0",
-		DataDir:         dir,
-		CheckpointEvery: ckptEvery,
-	})
-	if err != nil {
-		return err
-	}
-	if err := srv.Start(); err != nil {
-		return err
-	}
-	if err := publishAddr(addrFile, srv.Addr()); err != nil {
-		return err
-	}
-
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, syscall.SIGTERM, syscall.SIGINT)
-	<-ch
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	return srv.Shutdown(ctx)
+	res.PostRestartPoints, err = finishLive(client, child2, liveStream{"/v1", bodies[len(bodies)-liveBatches:], recovered})
+	return res, err
 }
 
 // FormatWAL renders the report for the terminal.
@@ -591,17 +351,4 @@ func FormatWAL(rep WALReport) string {
 	fmt.Fprintf(&b, "  recovered clustering byte-identical to an uninterrupted run: %v\n", k.SnapshotIdentical)
 	fmt.Fprintf(&b, "  post-restart ingest accepted; engine at %d points, graceful drain clean\n", k.PostRestartPoints)
 	return b.String()
-}
-
-// WriteWALJSON writes the machine-readable artifact.
-func WriteWALJSON(path string, rep WALReport) error {
-	raw, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return fmt.Errorf("bench: marshaling wal report: %w", err)
-	}
-	raw = append(raw, '\n')
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		return fmt.Errorf("bench: writing %s: %w", path, err)
-	}
-	return nil
 }

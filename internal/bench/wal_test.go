@@ -2,41 +2,10 @@ package bench
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 )
-
-// TestMain diverts the test binary into child-server mode when the
-// kill-and-restart drill, the overload drill or the disaster-recovery
-// drill re-execs it (see RunWALChild / RunOverloadChild / RunDRChild);
-// cmd/edmbench has the same hooks, so the experiments work from both
-// binaries.
-func TestMain(m *testing.M) {
-	if os.Getenv(walChildEnv) == "1" {
-		if err := RunWALChild(); err != nil {
-			fmt.Fprintf(os.Stderr, "wal child: %v\n", err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
-	if os.Getenv(overloadChildEnv) == "1" {
-		if err := RunOverloadChild(); err != nil {
-			fmt.Fprintf(os.Stderr, "overload child: %v\n", err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
-	if os.Getenv(drChildEnv) == "1" {
-		if err := RunDRChild(); err != nil {
-			fmt.Fprintf(os.Stderr, "dr child: %v\n", err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
 
 // TestRunWALSmoke runs the full durability experiment at a small
 // scale: both throughput modes against real WAL directories, then the
@@ -112,7 +81,7 @@ func TestRunWALSmoke(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "BENCH_wal.json")
-	if err := WriteWALJSON(path, rep); err != nil {
+	if err := WriteJSON(path, rep); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)

@@ -411,6 +411,9 @@ func decodeBatchRecord(payload []byte) ([]edmstream.Point, error) {
 				p.Vector[j] = math.Float64frombits(bits)
 			}
 		case pointKindTokens:
+			if int(n) > len(r.buf)/4 { // each token takes a 4-byte length
+				return nil, fmt.Errorf("point %d claims %d tokens in %d bytes", i, n, len(r.buf))
+			}
 			p.Tokens = make(edmstream.TokenSet, n)
 			for j := 0; j < int(n); j++ {
 				tok, err := r.str()
