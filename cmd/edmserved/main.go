@@ -83,7 +83,6 @@ type cliConfig struct {
 	restoreFromArchive bool
 
 	maxStreams     int
-	writerPool     int
 	memoryBudget   sizeFlag
 	evictIdleAfter time.Duration
 	sweepInterval  time.Duration
@@ -167,7 +166,6 @@ func registerFlags(fs *flag.FlagSet, c *cliConfig) {
 	fs.BoolVar(&c.checkpointCompress, "checkpoint-compress", false, "gzip checkpoint payloads on disk (CRC still covers the uncompressed snapshot)")
 	fs.BoolVar(&c.restoreFromArchive, "restore-from-archive", false, "rebuild an empty -data-dir from the remote archive before serving; refused if local WAL state exists")
 	fs.IntVar(&c.maxStreams, "max-streams", 0, "max named streams, live + evicted (0 = default 1024)")
-	fs.IntVar(&c.writerPool, "writer-pool", 0, "shared ingest writer goroutines all streams multiplex over, round-robin (0 = GOMAXPROCS)")
 	fs.Var(&c.memoryBudget, "memory-budget", "global resident-memory target for all live streams, e.g. 512MiB; least-recently-used idle streams are checkpointed to disk and evicted past it (0 = unlimited; requires -data-dir)")
 	fs.DurationVar(&c.evictIdleAfter, "evict-idle-after", 0, "checkpoint + evict streams untouched this long (0 = never; requires -data-dir)")
 	fs.DurationVar(&c.sweepInterval, "sweep-interval", 0, "eviction sweep cadence (0 = default 1s)")
@@ -217,7 +215,6 @@ func buildServerConfig(c cliConfig) server.Config {
 		RestoreFromArchive: c.restoreFromArchive,
 
 		MaxStreams:     c.maxStreams,
-		WriterPool:     c.writerPool,
 		MemoryBudget:   int64(c.memoryBudget),
 		EvictIdleAfter: c.evictIdleAfter,
 		SweepInterval:  c.sweepInterval,

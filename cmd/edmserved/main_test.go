@@ -141,7 +141,6 @@ func TestTenancyFlagMapping(t *testing.T) {
 		"-radius", "0.5",
 		"-data-dir", t.TempDir(),
 		"-max-streams", "64",
-		"-writer-pool", "4",
 		"-memory-budget", "512MiB",
 		"-evict-idle-after", "10m",
 		"-sweep-interval", "250ms",
@@ -151,7 +150,7 @@ func TestTenancyFlagMapping(t *testing.T) {
 	}
 
 	sc := buildServerConfig(cfg)
-	if sc.MaxStreams != 64 || sc.WriterPool != 4 ||
+	if sc.MaxStreams != 64 ||
 		sc.MemoryBudget != 512<<20 ||
 		sc.EvictIdleAfter != 10*time.Minute ||
 		sc.SweepInterval != 250*time.Millisecond {

@@ -37,15 +37,14 @@ type RestoreInfo struct {
 	DurationSeconds float64 `json:"duration_seconds"`
 }
 
-// restoreRetry bounds the per-object download retries. A flaky remote
-// (the drill's periodic get faults) is survivable; a persistent
-// transport failure aborts the restore with an error — the caller can
-// re-run it, nothing local was acknowledged yet.
-const (
-	restoreAttempts  = 6
-	restoreRetryBase = 25 * time.Millisecond
-	restoreRetryMax  = 500 * time.Millisecond
-)
+// restoreAttempts and restoreRetry bound the per-object download
+// retries. A flaky remote (the drill's periodic get faults) is
+// survivable; a persistent transport failure aborts the restore with
+// an error — the caller can re-run it, nothing local was acknowledged
+// yet.
+const restoreAttempts = 6
+
+var restoreRetry = wal.RetryPolicy{BaseDelay: 25 * time.Millisecond, MaxDelay: 500 * time.Millisecond}
 
 // Restore rebuilds an empty WAL directory from the object store: every
 // remote checkpoint and segment is downloaded (with bounded per-object
@@ -183,7 +182,7 @@ func listRetry(store ObjectStore, info *RestoreInfo) ([]string, error) {
 	for attempt := 0; attempt < restoreAttempts; attempt++ {
 		if attempt > 0 {
 			info.Retried++
-			time.Sleep(backoff(attempt, restoreRetryBase, restoreRetryMax))
+			time.Sleep(restoreRetry.Backoff(attempt))
 		}
 		keys, err := store.List("")
 		if err == nil {
@@ -199,7 +198,7 @@ func getRetry(store ObjectStore, key string, info *RestoreInfo) ([]byte, error) 
 	for attempt := 0; attempt < restoreAttempts; attempt++ {
 		if attempt > 0 {
 			info.Retried++
-			time.Sleep(backoff(attempt, restoreRetryBase, restoreRetryMax))
+			time.Sleep(restoreRetry.Backoff(attempt))
 		}
 		data, err := store.Get(key)
 		if err == nil {

@@ -5,7 +5,6 @@ import (
 	"compress/gzip"
 	"errors"
 	"io/fs"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -111,8 +110,7 @@ type Shipper struct {
 	compress bool
 
 	queue       chan shipTask
-	retryBase   time.Duration
-	retryMax    time.Duration
+	retry       wal.RetryPolicy
 	resyncEvery time.Duration
 
 	stop      chan struct{}
@@ -164,8 +162,7 @@ func NewShipper(opts ShipperOptions) (*Shipper, error) {
 		store:       opts.Store,
 		compress:    opts.Compress,
 		queue:       make(chan shipTask, opts.QueueLen),
-		retryBase:   opts.RetryBase,
-		retryMax:    opts.RetryMax,
+		retry:       wal.RetryPolicy{BaseDelay: opts.RetryBase, MaxDelay: opts.RetryMax},
 		resyncEvery: opts.ResyncEvery,
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
@@ -268,7 +265,7 @@ func (s *Shipper) process(t shipTask, draining bool) {
 				return // best-effort on shutdown: one attempt per task
 			}
 			s.retried.Add(1)
-			if !s.sleep(backoff(attempt, s.retryBase, s.retryMax)) {
+			if !s.sleep(s.retry.Backoff(attempt)) {
 				return // stopping; the final checkpoint drain re-covers
 			}
 		}
@@ -475,23 +472,6 @@ func (s *Shipper) sleep(d time.Duration) bool {
 	case <-s.stop:
 		return false
 	}
-}
-
-// backoff is the jittered exponential delay before retry `attempt`
-// (1-based): base doubled per round, capped at max, jittered into
-// [d/2, d] so a fleet of recovering shippers decorrelates.
-func backoff(attempt int, base, max time.Duration) time.Duration {
-	d := base
-	for i := 1; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	if d <= 0 {
-		return 0
-	}
-	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }
 
 // Lagging reports the /healthz detail: an upload is failing or dropped

@@ -112,9 +112,8 @@ type statsView struct {
 			Restore              *archive.RestoreInfo `json:"restore"`
 		} `json:"archive"`
 		Tenancy struct {
-			WriterPool int    `json:"writer_pool"`
-			Evictions  uint64 `json:"evictions"`
-			Revivals   uint64 `json:"revivals"`
+			Evictions uint64 `json:"evictions"`
+			Revivals  uint64 `json:"revivals"`
 		} `json:"tenancy"`
 	} `json:"server"`
 }

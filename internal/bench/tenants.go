@@ -16,8 +16,8 @@ import (
 	"github.com/densitymountain/edmstream/internal/stream"
 )
 
-// This file holds the multi-tenant serving drill: many named streams
-// multiplexed over the bounded writer pool, under a memory budget
+// This file holds the multi-tenant serving drill: many named streams,
+// each with its own writer goroutine, under a memory budget
 // small enough that the evictor churns engines to disk and back while
 // traffic is live. Phase one measures the single-stream sequential
 // baseline every acceptance ratio is against. Phase two boots a child
@@ -35,8 +35,8 @@ const (
 	// tenantWriters is the client goroutine count; each one round-robins
 	// over tenantStreams/tenantWriters streams, one batch per turn. The
 	// rotation is what makes eviction churn possible at all: a stream
-	// whose writer never pauses keeps its pool handle queued or running,
-	// and the evictor (correctly) refuses to touch it — real tenants
+	// whose writer never pauses keeps its server-side writer busy, and
+	// the evictor (correctly) refuses to touch it — real tenants
 	// interleave, so the drill's traffic does too.
 	tenantWriters = 8
 	// tenantSweepInterval keeps the evictor hot while traffic runs.
@@ -72,7 +72,6 @@ type TenancyReport struct {
 	BatchesPerStream int    `json:"batches_per_stream"`
 	IngestBatch      int    `json:"ingest_batch"`
 	MemoryBudget     int64  `json:"memory_budget_bytes"`
-	WriterPool       int    `json:"writer_pool"`
 
 	// BaselinePointsPerSec is the phase-one single-stream sequential
 	// writer; AggregatePointsPerSec is all tenantStreams writers
@@ -154,7 +153,7 @@ func RunTenants(s Scale) (TenancyReport, error) {
 
 	// The scaling assertion needs real hardware parallelism: on a
 	// 1-2 core runner the 32 writers timeshare a core and the ratio
-	// measures the scheduler, not the pool.
+	// measures the scheduler, not the serving stack.
 	if procs := min(runtime.NumCPU(), runtime.GOMAXPROCS(0)); procs >= 4 {
 		rep.SpeedupAsserted = true
 		if rep.AggregatePointsPerSec < rep.BaselinePointsPerSec {
@@ -288,7 +287,6 @@ func runTenantKill(s Scale, rep *TenancyReport, bodies [][][]byte, pts [][]strea
 		return fmt.Errorf("bench: pre-kill stats: %w", err)
 	}
 	rep.EvictionsBeforeKill = st.Server.Tenancy.Evictions
-	rep.WriterPool = st.Server.Tenancy.WriterPool
 	killIssued.Store(true)
 	child.kill()
 	<-writersDone
@@ -383,8 +381,8 @@ func tenantsChild(spec childSpec) (server.Config, func(bool), error) {
 // FormatTenants renders the report for the terminal.
 func FormatTenants(rep TenancyReport) string {
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "Multi-tenant serving: %d streams over a %d-writer pool, %.0f MiB budget\n",
-		rep.Streams, rep.WriterPool, float64(rep.MemoryBudget)/(1<<20))
+	fmt.Fprintf(&b, "Multi-tenant serving: %d streams, one writer goroutine each, %.0f MiB budget\n",
+		rep.Streams, float64(rep.MemoryBudget)/(1<<20))
 	fmt.Fprintf(&b, "  (gomaxprocs %d, %d CPUs, %d batches of %d points per stream)\n",
 		rep.GOMAXPROCS, rep.NumCPU, rep.BatchesPerStream, rep.IngestBatch)
 	fmt.Fprintf(&b, "throughput: single-stream baseline %.0f points/sec, %d-stream aggregate %.0f (%.2fx",

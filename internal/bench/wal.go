@@ -78,6 +78,9 @@ type WALKillResult struct {
 	// accepted fresh traffic (liveness: recovery yields a server, not
 	// a read-only museum).
 	PostRestartPoints int64 `json:"post_restart_points"`
+	// DrainRestartIdentical records that a boot after the graceful
+	// drain recovered from its checkpoint alone, with the same state.
+	DrainRestartIdentical bool `json:"drain_restart_identical"`
 }
 
 // WALReport is the JSON-serializable outcome of the experiment.
@@ -246,7 +249,9 @@ func walChild(childSpec) (server.Config, func(bool), error) {
 // runWALKill is the crash drill: SIGKILL a durable child mid-traffic,
 // restart it on the same WAL directory, and verify the recovered
 // state is exactly the acknowledged prefix — byte-identical to a
-// fresh engine fed that prefix directly.
+// fresh engine fed that prefix directly. After the post-restart
+// traffic and a graceful drain, a third boot must come back from the
+// drain checkpoint alone with the same state.
 func runWALKill(s Scale, pts []stream.Point, bodies [][]byte, warmupBatches, liveBatches int) (WALKillResult, error) {
 	spec, dir, err := newChildSpec("wal-kill", s.Rate)
 	if err != nil {
@@ -315,6 +320,11 @@ func runWALKill(s Scale, pts []stream.Point, bodies [][]byte, warmupBatches, liv
 		res.ReplayedRecords = st.Server.Durability.Recovery.RecordsReplayed
 		res.HasCheckpoint = st.Server.Durability.Recovery.HasCheckpoint
 	}
+	// The warm-up alone crosses the checkpoint cadence, so the crash
+	// recovery must start from a checkpoint, not from an empty engine.
+	if !res.HasCheckpoint {
+		return res, fmt.Errorf("bench: crash recovery found no checkpoint (%d records replayed)", res.ReplayedRecords)
+	}
 
 	// The contract: every acknowledged point survived, nothing beyond
 	// the sent stream appeared, and the clustering is the one a fresh
@@ -327,7 +337,33 @@ func runWALKill(s Scale, pts []stream.Point, bodies [][]byte, warmupBatches, liv
 	}
 	res.SnapshotIdentical = true
 	res.PostRestartPoints, err = finishLive(client, child2, liveStream{"/v1", bodies[len(bodies)-liveBatches:], recovered})
-	return res, err
+	if err != nil {
+		return res, err
+	}
+
+	// The drain's final checkpoint covers every committed point: the
+	// third boot replays no record and serves the recovered prefix
+	// followed by the post-restart traffic.
+	child3, err := startChild("wal", spec)
+	if err != nil {
+		return res, fmt.Errorf("bench: restarting after the drain: %w", err)
+	}
+	defer child3.kill()
+	if st, err = fetchStats(client, child3.url+"/v1/stats"); err != nil {
+		return res, err
+	}
+	if d := st.Server.Durability; d == nil || !d.Recovery.HasCheckpoint || d.Recovery.RecordsReplayed != 0 {
+		return res, fmt.Errorf("bench: restart after the drain did not recover from the drain checkpoint alone (%+v)", d)
+	}
+	if st.Engine.Points != res.PostRestartPoints {
+		return res, fmt.Errorf("bench: restart after the drain holds %d points, want %d", st.Engine.Points, res.PostRestartPoints)
+	}
+	served := append(pts[:recovered:recovered], pts[len(send)*drillBatch:]...)
+	if err := checkReplay(client, child3.url+"/v1/snapshot", served, res.PostRestartPoints, s.Rate); err != nil {
+		return res, err
+	}
+	res.DrainRestartIdentical = true
+	return res, child3.stop()
 }
 
 // FormatWAL renders the report for the terminal.
@@ -350,5 +386,6 @@ func FormatWAL(rep WALReport) string {
 		k.AckedPoints, k.RecoveredPoints, k.HasCheckpoint, k.ReplayedRecords)
 	fmt.Fprintf(&b, "  recovered clustering byte-identical to an uninterrupted run: %v\n", k.SnapshotIdentical)
 	fmt.Fprintf(&b, "  post-restart ingest accepted; engine at %d points, graceful drain clean\n", k.PostRestartPoints)
+	fmt.Fprintf(&b, "  restart after the drain: checkpoint only, clustering unchanged: %v\n", k.DrainRestartIdentical)
 	return b.String()
 }

@@ -45,22 +45,24 @@ type ingestReply struct {
 // carved out of the batch ack slice and delivered on its reply
 // channel.
 //
-// The writer is not a dedicated goroutine: runOne performs one bounded
-// pass (gather + flush one batch) and is scheduled through a
-// tenant.Pool handle, whose state machine guarantees runOne never runs
-// concurrently with itself. Every mutation of the coalescer's owned
-// state (carry, reused slices, the engine, the WAL) happens inside
-// runOne, so per-stream semantics are exactly the dedicated-goroutine
-// ones while N streams share a bounded worker set.
+// The writer is one goroutine per stream (run), owned by the
+// coalescer: every mutation of the coalescer's owned state (carry,
+// reused slices, the engine, the WAL) happens on it, so the stream's
+// DP-Tree has exactly one writer.
 type coalescer struct {
 	c        *edmstream.Clusterer
 	queue    chan *ingestReq
 	maxBatch int
 
-	// wake schedules a runOne pass (the stream's pool-handle Wake).
-	// Called by submit after every enqueue and by the janitor to
-	// request a degraded-mode probe.
-	wake func()
+	// wakeCh is the writer's 1-slot wake channel: submit sends on it
+	// after every enqueue and the janitor to request a degraded-mode
+	// probe. A wake sent while one is pending is absorbed.
+	wakeCh chan struct{}
+
+	// state is the writer's retire gate (writerIdle, writerBusy,
+	// writerRetired): the writer holds it busy for each pass, and the
+	// evictor's tryRetire swaps it from idle to retired.
+	state atomic.Int32
 
 	// probeWanted is the janitor's probe request flag: runOne services
 	// it first, under the same single-ownership the probe's WAL and
@@ -132,6 +134,7 @@ func newCoalescer(c *edmstream.Clusterer, cfg Config, reg *obs.Registry, labels 
 		c:             c,
 		queue:         make(chan *ingestReq, cfg.MaxPending),
 		maxBatch:      cfg.MaxBatch,
+		wakeCh:        make(chan struct{}, 1),
 		stop:          make(chan struct{}),
 		done:          make(chan struct{}),
 		batchSize:     reg.Sample("edmserved_coalescer_batch_points", labels),
@@ -164,11 +167,7 @@ func (co *coalescer) submit(ctx context.Context, pts []edmstream.Point) ([]int64
 	select {
 	case co.queue <- req:
 		co.pending.Add(1)
-		if co.wake != nil {
-			// Schedule a writer pass; Wake coalesces with a pass already
-			// queued or re-arms one in flight, so a burst costs one wake.
-			co.wake()
-		}
+		co.wake()
 	case <-co.stop:
 		co.rejectsTotal.Inc()
 		return nil, errDraining
@@ -201,14 +200,71 @@ func (co *coalescer) submit(ctx context.Context, pts []edmstream.Point) ([]int64
 	}
 }
 
-// runOne is one writer pass, executed with single-ownership by a
-// tenant.Pool worker: service a requested degraded-mode recovery
-// probe, then gather and flush at most one batch. It returns true when
-// work is already queued behind it, in which case the pool re-queues
-// the stream at the tail of the ready queue — round-robin across
-// streams, so a hot tenant gets one batch per round and cannot starve
-// the rest. Once stop is closed the pass drains everything queued and
-// closes done; later wakes are harmless no-ops.
+// Writer states: the retire gate between the writer goroutine and the
+// evictor.
+const (
+	writerIdle int32 = iota
+	writerBusy
+	writerRetired
+)
+
+// wake asks the writer for a pass. Safe from any goroutine; never
+// blocks.
+func (co *coalescer) wake() {
+	select {
+	case co.wakeCh <- struct{}{}:
+	default:
+	}
+}
+
+// run is the stream's writer goroutine and the only caller of runOne,
+// which gives the stream single ownership of its write path by
+// construction. It runs no pass before release is closed (the server
+// started), then passes while work is queued, sleeping between wakes.
+// It returns after the shutdown drain, on a stop before release, or
+// once tryRetire has retired it.
+func (co *coalescer) run(release <-chan struct{}) {
+	select {
+	case <-release:
+	case <-co.stop:
+	}
+	select {
+	case <-release:
+	default:
+		return // stopped before the server started
+	}
+	for {
+		if !co.state.CompareAndSwap(writerIdle, writerBusy) {
+			return // retired by the evictor
+		}
+		more := co.runOne()
+		co.state.Store(writerIdle)
+		select {
+		case <-co.done:
+			return
+		default:
+		}
+		if !more {
+			select {
+			case <-co.wakeCh:
+			case <-co.stop:
+			}
+		}
+	}
+}
+
+// tryRetire is the evictor's exclusivity gate: it succeeds only while
+// the writer is idle between passes, and once it has, the writer never
+// runs another pass. Never blocks (it runs under the registry lock).
+func (co *coalescer) tryRetire() bool {
+	return co.state.CompareAndSwap(writerIdle, writerRetired)
+}
+
+// runOne is one writer pass: service a requested degraded-mode
+// recovery probe, then gather and flush at most one batch. It returns
+// true when work is already queued behind it. Once stop is closed the
+// pass drains everything queued and closes done; later passes are
+// harmless no-ops.
 func (co *coalescer) runOne() bool {
 	if co.probeWanted.CompareAndSwap(true, false) {
 		co.probe()
@@ -401,9 +457,9 @@ func (co *coalescer) drain() {
 	}
 }
 
-// beginShutdown signals the writer to drain on its next pass. It
-// returns immediately; the caller must Wake the stream's handle so a
-// pass actually runs, then wait on done. Safe to call repeatedly.
+// beginShutdown signals the writer to drain: its next pass commits
+// everything queued and closes done. It returns immediately; the
+// caller waits on done. Safe to call repeatedly.
 func (co *coalescer) beginShutdown() {
 	co.stopOnce.Do(func() { close(co.stop) })
 }

@@ -8,8 +8,8 @@ import (
 	"github.com/densitymountain/edmstream/internal/obs"
 )
 
-// newTestCoalescer builds a coalescer over a fresh engine with no pool
-// behind it: the test drives runOne itself.
+// newTestCoalescer builds a coalescer over a fresh engine with no
+// writer goroutine: the test drives runOne itself.
 func newTestCoalescer(t *testing.T, maxBatch int) *coalescer {
 	t.Helper()
 	c, err := edmstream.New(testOptions())
@@ -142,5 +142,60 @@ func TestEstimateWaitRunningAverage(t *testing.T) {
 	fresh.pending.Set(1)
 	if fresh.estimateWait() <= 0 {
 		t.Fatal("a successful flush did not feed the estimate")
+	}
+}
+
+// TestWriterRetireGate pins the evictor's exclusivity gate on the
+// writer goroutine: tryRetire fails while a pass is running, succeeds
+// once the writer is idle between passes, and after it a wake commits
+// nothing.
+func TestWriterRetireGate(t *testing.T) {
+	co := newTestCoalescer(t, 10)
+	inFlush := make(chan struct{}, 1)
+	release := make(chan struct{})
+	co.onFlush = func() {
+		inFlush <- struct{}{}
+		<-release
+	}
+	started := make(chan struct{})
+	close(started)
+	exited := make(chan struct{})
+	go func() {
+		co.run(started)
+		close(exited)
+	}()
+
+	first := enqueue(co, 2, 0)
+	co.wake()
+	<-inFlush // the pass is held inside onFlush
+	if co.tryRetire() {
+		t.Fatal("tryRetire succeeded while a pass was running")
+	}
+	close(release)
+	deadline := time.Now().Add(5 * time.Second)
+	for !co.tryRetire() {
+		if time.Now().After(deadline) {
+			t.Fatal("tryRetire never succeeded on an idle writer")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if !replied(t, first) {
+		t.Fatal("the request committed before the retire has no reply")
+	}
+
+	second := enqueue(co, 2, 1)
+	co.wake()
+	time.Sleep(20 * time.Millisecond)
+	if got := co.batches.Value(); got != 1 || replied(t, second) {
+		t.Fatalf("a retired writer committed after a wake: %d batches", got)
+	}
+	co.beginShutdown() // what Evict does: the retired writer exits
+	select {
+	case <-exited:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the retired writer goroutine did not exit")
+	}
+	if got := co.batches.Value(); got != 1 {
+		t.Fatalf("a retired writer ran a shutdown pass: %d batches", got)
 	}
 }

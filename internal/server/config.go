@@ -24,7 +24,6 @@ package server
 import (
 	"fmt"
 	"net"
-	"runtime"
 	"time"
 
 	"github.com/densitymountain/edmstream"
@@ -188,11 +187,6 @@ type Config struct {
 	// Creating past the cap is shed with 429 reason "overloaded". Zero
 	// means the default 1024; negative is invalid.
 	MaxStreams int
-	// WriterPool bounds the shared writer goroutines every stream's
-	// ingest path multiplexes over. Streams take turns batch-by-batch
-	// (round-robin), so one hot tenant cannot starve the rest. Zero
-	// means GOMAXPROCS; negative is invalid.
-	WriterPool int
 	// MemoryBudget is the global resident-footprint target in bytes:
 	// when the estimated memory of all live streams exceeds it, the
 	// janitor checkpoints the least-recently-used idle streams to disk
@@ -288,9 +282,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxStreams == 0 {
 		c.MaxStreams = defaultMaxStreams
-	}
-	if c.WriterPool == 0 {
-		c.WriterPool = runtime.GOMAXPROCS(0)
 	}
 	if c.SweepInterval == 0 {
 		c.SweepInterval = defaultSweepInterval
@@ -422,9 +413,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxStreams == 1 && c.NewEngine != nil {
 		return fmt.Errorf("server: MaxStreams 1 leaves room only for the default stream — the engine factory could never build a named one")
-	}
-	if c.WriterPool < 0 {
-		return fmt.Errorf("server: WriterPool must be non-negative (0 means GOMAXPROCS), got %d", c.WriterPool)
 	}
 	if c.MemoryBudget < 0 {
 		return fmt.Errorf("server: MemoryBudget must be non-negative (0 disables budget eviction), got %d", c.MemoryBudget)

@@ -38,7 +38,6 @@ func TestConfigValidate(t *testing.T) {
 		{DegradedProbeInterval: 10 * time.Millisecond},
 		{WALRetryAttempts: 1},
 		{MaxStreams: 2},
-		{WriterPool: 2},
 		{MemoryBudget: MinMemoryBudget, DataDir: "x"},
 		{EvictIdleAfter: time.Minute, DataDir: "x"},
 		{SweepInterval: 100 * time.Millisecond},
@@ -74,7 +73,6 @@ func TestConfigValidate(t *testing.T) {
 		// A one-stream cap with a factory wired could never build the
 		// named streams the factory exists for.
 		{Config{MaxStreams: 1, NewEngine: newTestEngine}, "MaxStreams"},
-		{Config{WriterPool: -1}, "WriterPool"},
 		{Config{MemoryBudget: -1}, "MemoryBudget"},
 		// A budget below one engine's floor evicts every stream on
 		// every sweep; reject it up front.
@@ -113,10 +111,9 @@ func TestConfigDefaults(t *testing.T) {
 	if want := d.LongPollTimeout + defaultWriteTimeoutSlack; d.WriteTimeout != want {
 		t.Errorf("WriteTimeout default = %v, want LongPollTimeout + slack = %v", d.WriteTimeout, want)
 	}
-	if d.MaxStreams != defaultMaxStreams || d.WriterPool < 1 ||
-		d.SweepInterval != defaultSweepInterval {
-		t.Errorf("tenancy defaults wrong: MaxStreams=%d WriterPool=%d SweepInterval=%v",
-			d.MaxStreams, d.WriterPool, d.SweepInterval)
+	if d.MaxStreams != defaultMaxStreams || d.SweepInterval != defaultSweepInterval {
+		t.Errorf("tenancy defaults wrong: MaxStreams=%d SweepInterval=%v",
+			d.MaxStreams, d.SweepInterval)
 	}
 	// Zero budget / zero idle-eviction are real settings (disabled),
 	// not unset markers.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/densitymountain/edmstream"
@@ -43,6 +44,53 @@ func FuzzDecodeBatchRecord(f *testing.F) {
 		for i := range pts {
 			if !samePoint(pts[i], again[i]) {
 				t.Fatalf("point %d changed through the codec: %+v became %+v", i, pts[i], again[i])
+			}
+		}
+	})
+}
+
+// FuzzDecodePoints feeds the HTTP point decoder arbitrary bodies: it
+// must never panic, an accepted body holds at most maxPoints points
+// that each pass Point.Validate, and every accepted batch must survive
+// the WAL batch codec unchanged — a point the server acknowledges but
+// the log cannot carry would break "HTTP 200 implies durable".
+func FuzzDecodePoints(f *testing.F) {
+	const maxPoints = 64
+	seeds := []string{
+		`[{"id":1,"vector":[1.5,-2.25],"time":0.5,"label":3},{"vector":[0,1e300]}]`,
+		"{\"vector\":[1,2],\"time\":1}\n{\"vector\":[3,4],\"id\":-9}\n",
+		`{"vector":[7]}`,
+		`[{"tokens":["gamma","alpha",""],"time":2,"label":-7}]`,
+		`[]`,
+	}
+	for _, seed := range seeds {
+		f.Add([]byte(seed))
+		f.Add([]byte(seed[:len(seed)/2]))
+		f.Add([]byte(seed[:len(seed)-1]))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		pts, err := decodePoints(strings.NewReader(string(body)), 1, maxPoints)
+		if err != nil {
+			return
+		}
+		if len(pts) > maxPoints {
+			t.Fatalf("accepted %d points, max %d", len(pts), maxPoints)
+		}
+		for i, p := range pts {
+			if err := p.Validate(); err != nil {
+				t.Fatalf("accepted point %d fails Validate: %v", i, err)
+			}
+		}
+		logged, err := decodeBatchRecord(encodeBatchRecord(pts))
+		if err != nil {
+			t.Fatalf("accepted batch does not survive the WAL codec: %v", err)
+		}
+		if len(logged) != len(pts) {
+			t.Fatalf("WAL codec returned %d points, want %d", len(logged), len(pts))
+		}
+		for i := range pts {
+			if !samePoint(pts[i], logged[i]) {
+				t.Fatalf("point %d changed through the WAL codec: %+v became %+v", i, pts[i], logged[i])
 			}
 		}
 	})

@@ -43,12 +43,10 @@ type Server struct {
 	mux  *http.ServeMux
 	http *http.Server
 
-	// pool is the bounded shared writer pool every stream's coalescer
-	// is scheduled on; streams is the named-stream registry (lazy
-	// creation, pin counting, checkpoint-backed LRU eviction); store is
-	// the shared archive object store (nil without an archive), which
-	// each stream views through its own key prefix.
-	pool    *tenant.Pool
+	// streams is the named-stream registry (lazy creation, pin
+	// counting, checkpoint-backed LRU eviction); store is the shared
+	// archive object store (nil without an archive), which each stream
+	// views through its own key prefix.
 	streams *tenant.Registry[*stream]
 	store   archive.ObjectStore
 
@@ -90,11 +88,13 @@ type Server struct {
 	listener net.Listener
 	serveErr chan error
 	started  atomic.Bool
-	// runtimeStarted records that the writer pool and janitor were
-	// actually launched; Shutdown only waits for coalescer drains in
-	// that case (a failed Start never launches them, and waiting would
-	// hang forever).
+	// runtimeStarted records that the writers and janitor were
+	// actually released; Shutdown only waits for coalescer drains in
+	// that case (a failed Start never releases them, and waiting would
+	// hang forever). running is closed at that release: every stream's
+	// writer goroutine waits on it before its first pass.
 	runtimeStarted atomic.Bool
+	running        chan struct{}
 
 	janitorStop chan struct{}
 	janitorDone chan struct{}
@@ -126,6 +126,7 @@ func New(c *edmstream.Clusterer, cfg Config) (*Server, error) {
 		start:       time.Now(),
 		drainCh:     make(chan struct{}),
 		serveErr:    make(chan error, 1),
+		running:     make(chan struct{}),
 		janitorStop: make(chan struct{}),
 		janitorDone: make(chan struct{}),
 	}
@@ -141,7 +142,6 @@ func New(c *edmstream.Clusterer, cfg Config) (*Server, error) {
 		s.store = store
 	}
 	s.adm = newAdmission(cfg, s.reg)
-	s.pool = tenant.NewPool(cfg.WriterPool)
 	s.streamsActive = s.reg.Gauge("edmserved_streams_active", "")
 	s.streamsRegistered = s.reg.Gauge("edmserved_streams_registered", "")
 	s.streamsMemory = s.reg.Gauge("edmserved_streams_memory_bytes", "")
@@ -158,13 +158,13 @@ func New(c *edmstream.Clusterer, cfg Config) (*Server, error) {
 			// The default stream is never evicted (the caller owns its
 			// engine; there is no factory path that rebuilds that exact
 			// object), and a degraded stream's WAL cannot take the
-			// eviction checkpoint. TryRetire last: once it succeeds the
-			// handle is permanently retired, so it must also be the
+			// eviction checkpoint. tryRetire last: once it succeeds the
+			// writer is permanently retired, so it must also be the
 			// final word.
 			if st.name == DefaultStream || st.deg.isDegraded() {
 				return false
 			}
-			return s.pool.TryRetire(st.handle)
+			return st.coal.tryRetire()
 		},
 		OnEvict: func(string) { s.streamsEvicted.Inc() },
 	})
@@ -173,7 +173,7 @@ func New(c *edmstream.Clusterer, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	if err := s.streams.Adopt(DefaultStream, def); err != nil {
-		def.shutdownClose(nil)
+		def.shutdownClose()
 		return nil, err
 	}
 	s.def = def
@@ -185,7 +185,7 @@ func New(c *edmstream.Clusterer, cfg Config) (*Server, error) {
 	s.restored = def.restored
 	s.restoreSkipped = def.restoreSkipped
 	if err := s.discoverStreams(); err != nil {
-		def.shutdownClose(nil)
+		def.shutdownClose()
 		return nil, err
 	}
 
@@ -356,21 +356,21 @@ func (w *statusWriter) WriteHeader(code int) {
 
 // Handler returns the server's HTTP handler (every endpoint,
 // telemetry included) for in-process use: tests and the e2e benchmark
-// drive it through httptest or a private listener. The writer pool
-// must be running — use Start, or StartDetached for handler-only
-// serving.
+// drive it through httptest or a private listener. No stream's
+// writer commits a batch until the server is started — use Start, or
+// StartDetached for handler-only serving.
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Registry exposes the server's telemetry registry (the e2e benchmark
 // reads coalescer distributions from it directly).
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// startRuntime launches the shared serving machinery: the writer pool
-// and the janitor (eviction sweeps, degraded-mode probe scheduling,
-// tenancy gauges).
+// startRuntime releases every stream's writer goroutine (present and
+// future) and launches the janitor (eviction sweeps, degraded-mode
+// probe scheduling, tenancy gauges).
 func (s *Server) startRuntime() {
 	s.runtimeStarted.Store(true)
-	s.pool.Start()
+	close(s.running)
 	go s.janitor()
 }
 
@@ -396,7 +396,7 @@ func (s *Server) Start() error {
 	return nil
 }
 
-// StartDetached starts only the writer pool and janitor, for callers
+// StartDetached starts only the stream writers and janitor, for callers
 // that drive Handler through their own listener (httptest servers).
 func (s *Server) StartDetached() {
 	if s.started.CompareAndSwap(false, true) {
@@ -425,7 +425,7 @@ func (s *Server) Err() error {
 // janitor is the shared background loop: it schedules degraded-mode
 // recovery probes onto each sick stream's writer (the probe must run
 // under the stream's single-writer ownership, so it is flagged and the
-// handle woken rather than run here), runs eviction sweeps at the
+// writer woken rather than run here), runs eviction sweeps at the
 // SweepInterval cadence, and refreshes the tenancy gauges. The tick is
 // the finer of the two cadences so neither starves the other.
 func (s *Server) janitor() {
@@ -448,7 +448,7 @@ func (s *Server) janitor() {
 			if st.deg.isDegraded() && now.UnixNano() >= st.nextProbe.Load() {
 				st.nextProbe.Store(now.Add(s.cfg.DegradedProbeInterval).UnixNano())
 				st.coal.probeWanted.Store(true)
-				st.handle.Wake()
+				st.coal.wake()
 			}
 		}
 		if now.Sub(lastSweep) >= s.cfg.SweepInterval {
@@ -468,7 +468,7 @@ func (s *Server) refreshTenancyGauges(rs tenant.Stats) {
 // Shutdown stops the server gracefully: new requests are rejected,
 // long-polls return immediately, in-flight requests run to completion,
 // and every ingest request accepted into any stream's coalescer queue
-// is committed before the writer pool stops — an acknowledged (HTTP
+// is committed before its writer exits — an acknowledged (HTTP
 // 200) ingest is never dropped, on any stream. The context bounds the
 // wait for in-flight HTTP requests; the final coalescer drains are not
 // abandoned on context expiry (bounded work: at most MaxPending queued
@@ -496,8 +496,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.streams.Close()
 	live := s.streams.Live()
 	for _, st := range live {
-		st.coal.beginShutdown()
-		st.handle.Wake() // schedule the drain pass
+		st.coal.beginShutdown() // wakes the writer for its drain pass
 	}
 	if s.runtimeStarted.Load() {
 		for _, st := range live {
@@ -507,9 +506,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			<-st.coal.done
 		}
 	}
-	s.pool.Stop()
 	for _, st := range live {
-		if err := st.shutdownClose(st.c); err != nil && httpErr == nil {
+		if err := st.shutdownClose(); err != nil && httpErr == nil {
 			httpErr = err
 		}
 	}
@@ -518,19 +516,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // shutdownClose releases one stream's durability and archive resources
 // at server shutdown: final checkpoint + WAL close, then the shipper
-// drain. c may be nil when the stream never served (boot-failure
-// cleanup).
-func (st *stream) shutdownClose(c *edmstream.Clusterer) error {
+// drain. Also the boot-failure cleanup of a stream that never served.
+func (st *stream) shutdownClose() error {
+	st.coal.beginShutdown() // an unreleased writer exits without a pass
 	var err error
 	if st.dur != nil {
-		// The writer pool has stopped, so the final checkpoint and
-		// close are race-free. Every acknowledged batch is already on
-		// disk — the checkpoint only shortens the next boot's replay.
-		if c != nil {
-			err = st.dur.close(c)
-		} else {
-			err = st.dur.close(st.c)
-		}
+		// The writer has drained and exited (or never ran), so the
+		// final checkpoint and close are race-free. Every acknowledged
+		// batch is already on disk — the checkpoint only shortens the
+		// next boot's replay.
+		err = st.dur.close(st.c)
 	}
 	if st.ship != nil {
 		// After dur.close so the final checkpoint's seal/save
@@ -802,14 +797,12 @@ type serverStats struct {
 }
 
 // tenancyStats is the multi-tenant section of GET /v1/stats: the
-// registry's aggregate view plus the writer pool's. Identical on every
-// stream's stats (it is daemon-global).
+// registry's aggregate view. Identical on every stream's stats (it is
+// daemon-global).
 type tenancyStats struct {
 	StreamsLive       int     `json:"streams_live"`
 	StreamsRegistered int     `json:"streams_registered"`
 	MaxStreams        int     `json:"max_streams"`
-	WriterPool        int     `json:"writer_pool"`
-	WriterQueueDepth  int     `json:"writer_queue_depth"`
 	MemoryBudget      int64   `json:"memory_budget_bytes"`
 	MemoryEstimate    int64   `json:"memory_estimate_bytes"`
 	Evictions         uint64  `json:"evictions"`
@@ -941,8 +934,6 @@ func (s *Server) handleStats(st *stream, w http.ResponseWriter, r *http.Request,
 				StreamsLive:       rs.Live,
 				StreamsRegistered: rs.Registered,
 				MaxStreams:        s.cfg.MaxStreams,
-				WriterPool:        s.pool.Workers(),
-				WriterQueueDepth:  s.pool.QueueDepth(),
 				MemoryBudget:      s.cfg.MemoryBudget,
 				MemoryEstimate:    rs.MemoryBytes,
 				Evictions:         rs.Evictions,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -42,8 +43,9 @@ const MinMemoryBudget = streamBaseBytes
 // coalescer, durability (WAL in its own directory), degraded-mode
 // state, archive shipper (its own key prefix in the shared store), and
 // the event-notification plumbing. Everything the old single-tenant
-// Server carried per-engine lives here; the Server keeps only the
-// shared substrate (HTTP, admission, writer pool, registry, budget).
+// Server carried per-engine lives here, the writer goroutine included;
+// the Server keeps only the shared substrate (HTTP, admission,
+// registry, budget).
 type stream struct {
 	name   string
 	labels string // `stream="<name>"`, on every per-stream instrument
@@ -56,10 +58,6 @@ type stream struct {
 	archiveM       *archiveMetrics
 	restored       *archive.RestoreInfo
 	restoreSkipped bool
-
-	// handle is the stream's seat in the shared writer pool; retiring
-	// it (pool.TryRetire) is the evictor's exclusivity gate.
-	handle *tenant.Handle
 
 	// shape is the stream's established modality/dimensionality
 	// (pointShape): 0 until the first ingested point fixes it, -1 for
@@ -125,9 +123,9 @@ func (s *Server) buildStream(name string) (*stream, error) {
 
 // assembleStream wires one stream's serving machinery around its
 // engine: archive restore + shipper (when configured), WAL recovery,
-// degraded-mode state, coalescer, and a fresh writer-pool handle. Used
-// for the eagerly built default stream and every factory-built named
-// stream alike.
+// degraded-mode state, and the coalescer with its writer goroutine.
+// Used for the eagerly built default stream and every factory-built
+// named stream alike.
 func (s *Server) assembleStream(name string, c *edmstream.Clusterer) (*stream, error) {
 	st := &stream{
 		name:   name,
@@ -192,8 +190,7 @@ func (s *Server) assembleStream(name string, c *edmstream.Clusterer) (*stream, e
 	if snap := c.LastSnapshot(); len(snap.Clusters) > 0 && len(snap.Clusters[0].SeedPoints) > 0 {
 		st.shape.Store(pointShape(snap.Clusters[0].SeedPoints[0]))
 	}
-	st.handle = s.pool.NewHandle(st.coal.runOne)
-	st.coal.wake = st.handle.Wake
+	go st.coal.run(s.running)
 	return st, nil
 }
 
@@ -206,17 +203,18 @@ func (st *stream) MemoryBytes() int64 {
 
 // Evict checkpoints the stream to disk and releases its resources. The
 // registry calls it with exclusive ownership: zero pins (no request
-// holds the stream) and a retired pool handle (the writer can never
-// run again), so the final checkpoint and close are race-free.
+// holds the stream) and a retired writer (it can never run another
+// pass), so the final checkpoint and close are race-free.
 //
 // Evict never fails the eviction: every acknowledged batch is already
 // fsynced in the stream's WAL, so even if the final checkpoint or the
 // log close errors, revival recovers the full acknowledged state by
 // replay — the error only costs recovery time, and refusing to evict
-// over it would wedge the stream (its writer handle is already
-// retired). Failures are surfaced through the checkpoint-error and
-// eviction counters instead.
+// over it would wedge the stream (its writer is already retired).
+// Failures are surfaced through the checkpoint-error and eviction
+// counters instead.
 func (st *stream) Evict() error {
+	st.coal.beginShutdown() // lets the retired writer goroutine exit
 	if st.dur != nil {
 		// Best-effort final checkpoint + close; ckptErrors counts a
 		// failed checkpoint inside.
@@ -293,7 +291,7 @@ func (s *Server) discoverStreams() error {
 		}
 		for _, k := range keys {
 			rest := k[len("streams/"):]
-			if i := indexByte(rest, '/'); i > 0 {
+			if i := strings.IndexByte(rest, '/'); i > 0 {
 				if name := rest[:i]; tenant.ValidateName(name) == nil {
 					s.streams.RegisterEvicted(name)
 				}
@@ -301,13 +299,4 @@ func (s *Server) discoverStreams() error {
 		}
 	}
 	return nil
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
 }

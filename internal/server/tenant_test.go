@@ -194,7 +194,7 @@ func TestTenantErrorMapping(t *testing.T) {
 	pts, _ := json.Marshal(twoBlobPoints(10, 1))
 
 	// Invalid names never reach the registry.
-	for _, name := range []string{"UPPER", "-lead", "streams", "sp%20ace"} {
+	for _, name := range []string{"UPPER", "-lead", "streams", "clusters", "sp%20ace"} {
 		if code, _ := doReq(t, "POST", base+"/v1/"+name+"/ingest", pts); code != http.StatusBadRequest {
 			t.Errorf("ingest into invalid name %q: status %d, want 400", name, code)
 		}
@@ -284,8 +284,8 @@ func TestStreamAdminEvictRevive(t *testing.T) {
 		t.Errorf("DELETE unknown: status %d reason %q", code, e.Reason)
 	}
 
-	// Evict tenant-a. The writer handle goes idle as soon as the ingest
-	// response lands, but give the pool a moment under -race.
+	// Evict tenant-a. The writer goes idle right after the ingest
+	// response lands, but give it a moment under -race.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		code, _ = doReq(t, "DELETE", base+"/v1/streams/tenant-a", nil)
@@ -417,9 +417,9 @@ func TestHealthzPerStream(t *testing.T) {
 // TestPerTenantDeterminism re-runs the network-path determinism pin
 // through a tenant prefix: a single sequential writer on /v1/t1/*
 // must land t1's engine in exactly the state direct InsertBatch calls
-// produce — the writer-pool multiplexing may never reorder or batch
-// one stream's requests differently. Noise traffic on a second stream
-// runs concurrently to make the pool actually multiplex.
+// produce — concurrent writers on other streams may never reorder or
+// batch one stream's requests differently. Noise traffic on a second
+// stream runs concurrently for the whole run.
 func TestPerTenantDeterminism(t *testing.T) {
 	const (
 		n     = 3000
@@ -427,8 +427,7 @@ func TestPerTenantDeterminism(t *testing.T) {
 	)
 	opts := edmstream.Options{Radius: 1.2, InitPoints: 200}
 	cfg := Config{
-		NewEngine:  func() (*edmstream.Clusterer, error) { return edmstream.New(opts) },
-		WriterPool: 2,
+		NewEngine: func() (*edmstream.Clusterer, error) { return edmstream.New(opts) },
 	}
 	s, _, base := startServer(t, opts, cfg)
 
@@ -455,8 +454,8 @@ func TestPerTenantDeterminism(t *testing.T) {
 		directAcks = append(directAcks, append([]int64(nil), acks...))
 	}
 
-	// Concurrent noise on a second stream, contending for the two pool
-	// writers for the whole run.
+	// Concurrent noise on a second stream, contending for the CPUs for
+	// the whole run.
 	stop := make(chan struct{})
 	var noise sync.WaitGroup
 	noise.Add(1)
@@ -493,6 +492,71 @@ func TestPerTenantDeterminism(t *testing.T) {
 	directSnap, _ := json.Marshal(direct.Snapshot())
 	if !bytes.Equal(directSnap, servedSnap) {
 		t.Errorf("t1 final snapshot differs from the direct replay:\nhttp:   %.400s\ndirect: %.400s", servedSnap, directSnap)
+	}
+}
+
+// TestHotStreamDoesNotStarveQuiet: every stream has its own writer,
+// so a stream flooded by concurrent writers cannot hold back another
+// stream's ingests. While four writers flood "hot", twenty sequential
+// ingests to "quiet" each return 200 within a second, and hot keeps
+// committing batches during that window.
+func TestHotStreamDoesNotStarveQuiet(t *testing.T) {
+	s, _, base := startServer(t, testOptions(), tenantConfig())
+	body := func(n, seed int) []byte {
+		pts := make([]map[string]any, n)
+		for i := range pts {
+			pts[i] = map[string]any{"vector": []float64{float64((i + seed) % 7), float64(i % 5)}}
+		}
+		raw, _ := json.Marshal(pts)
+		return raw
+	}
+	hot, quiet := body(256, 0), body(16, 3)
+	if code, _ := doReq(t, "POST", base+"/v1/hot/ingest", hot); code != http.StatusOK {
+		t.Fatalf("creating hot: status %d", code)
+	}
+
+	stop := make(chan struct{})
+	var flood sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		flood.Add(1)
+		go func() {
+			defer flood.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Post(base+"/v1/hot/ingest", "application/json", bytes.NewReader(hot))
+				if err != nil {
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		flood.Wait()
+	}()
+
+	hotBatches := mustStream(t, s, "hot").coal.batches
+	before := hotBatches.Value()
+	client := &http.Client{Timeout: time.Second}
+	for i := 0; i < 20; i++ {
+		resp, err := client.Post(base+"/v1/quiet/ingest", "application/json", bytes.NewReader(quiet))
+		if err != nil {
+			t.Fatalf("quiet ingest %d: no response within 1s: %v", i, err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("quiet ingest %d: status %d, want 200", i, resp.StatusCode)
+		}
+	}
+	if after := hotBatches.Value(); after <= before {
+		t.Fatalf("hot committed no batch while quiet was served (%d → %d)", before, after)
 	}
 }
 

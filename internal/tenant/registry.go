@@ -1,3 +1,14 @@
+// Package tenant implements the multi-tenant serving substrate of
+// edmserved: a registry of named streams with lazy creation and a
+// global memory budget enforced by checkpoint-backed LRU eviction of
+// idle streams.
+//
+// The package is deliberately mechanism-only: it knows nothing about
+// engines, WALs or HTTP. The server plugs in a factory that builds a
+// stream, an evictor that checkpoints and releases one, and an
+// exclusivity gate that retires the stream's writer. That keeps the
+// lifecycle state machine (create → live → evicting → evicted →
+// revive) testable in isolation from everything it orchestrates.
 package tenant
 
 import (
@@ -26,7 +37,8 @@ const maxNameLen = 64
 
 // ValidateName checks a stream name: 1-64 characters of lowercase
 // letters, digits, '-' and '_', starting with a letter or digit.
-// "streams" is reserved (it is the admin endpoint's path segment).
+// "streams" and "clusters" are reserved: they are the path segments
+// of the admin endpoint and of the default stream's cluster reads.
 // Names are embedded in URLs, on-disk directory names and Prometheus
 // label values, so the alphabet is deliberately tight.
 func ValidateName(name string) error {
@@ -36,7 +48,7 @@ func ValidateName(name string) error {
 	if len(name) > maxNameLen {
 		return fmt.Errorf("stream name %q exceeds %d characters", name, maxNameLen)
 	}
-	if name == "streams" {
+	if name == "streams" || name == "clusters" {
 		return fmt.Errorf("stream name %q is reserved", name)
 	}
 	for i := 0; i < len(name); i++ {
@@ -97,9 +109,9 @@ type Stream interface {
 	MemoryBytes() int64
 	// Evict checkpoints the stream to disk and releases its resources.
 	// Called exactly once, only after the registry owns the stream
-	// outright (zero pins, writer retired from the pool). After a nil
-	// return the stream object is dropped; an error cancels the
-	// eviction and the stream stays live.
+	// outright (zero pins, writer retired). After a nil return the
+	// stream object is dropped; an error cancels the eviction and the
+	// stream stays live.
 	Evict() error
 }
 
@@ -137,8 +149,8 @@ type Config[S Stream] struct {
 	Evictable bool
 	// CanEvict, when non-nil, is the exclusivity gate consulted with
 	// the registry lock held after pins==0: the server retires the
-	// stream's writer-pool handle here. Returning false skips the
-	// stream this sweep.
+	// stream's idle writer here, so it must not block. Returning
+	// false skips the stream this sweep.
 	CanEvict func(s S) bool
 	// OnEvict, when non-nil, is called after each successful eviction
 	// (telemetry hook). Called without the registry lock.
@@ -315,7 +327,7 @@ func (r *Registry[S]) Sweep() int {
 	}
 	evicted := 0
 	// A candidate that refuses eviction (pinned between the pick and
-	// the claim, busy writer handle, or the CanEvict gate — e.g. an
+	// the claim, busy writer, or the CanEvict gate — e.g. an
 	// unevictable default stream that happens to be the LRU) is skipped
 	// for the rest of this sweep, NOT treated as the end of the pass:
 	// otherwise one permanently unevictable stream at the LRU position
@@ -408,9 +420,9 @@ func (r *Registry[S]) evict(e *entry[S]) bool {
 		r.mu.Unlock()
 		return false
 	}
-	// Exclusivity gate (the server retires the writer-pool handle
-	// here): after it returns true, nothing can schedule the stream's
-	// write path, and pins==0 means no request holds the engine.
+	// Exclusivity gate (the server retires the stream's idle writer
+	// here): after it returns true, the stream's write path never runs
+	// again, and pins==0 means no request holds the engine.
 	if r.cfg.CanEvict != nil && !r.cfg.CanEvict(e.stream) {
 		r.mu.Unlock()
 		return false
@@ -425,7 +437,7 @@ func (r *Registry[S]) evict(e *entry[S]) bool {
 	if err != nil {
 		// Eviction failed (checkpoint could not be written): the stream
 		// keeps serving; a later sweep retries. The CanEvict gate
-		// already retired the writer handle, so the server's Evict
+		// already retired the writer, so the server's Evict
 		// implementation must re-arm it on failure.
 		e.state = stateLive
 		r.cond.Broadcast()

@@ -70,7 +70,7 @@ func TestValidateName(t *testing.T) {
 			t.Errorf("ValidateName(%q) = %v, want nil", name, err)
 		}
 	}
-	invalid := []string{"", "streams", "UPPER", "has space", "café", "-leading", "_leading", "dot.dot", "a/b",
+	invalid := []string{"", "streams", "clusters", "UPPER", "has space", "café", "-leading", "_leading", "dot.dot", "a/b",
 		"this-name-is-way-way-way-way-way-way-way-way-way-too-long-to-be-a-stream"}
 	for _, name := range invalid {
 		if err := ValidateName(name); err == nil {
