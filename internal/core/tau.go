@@ -8,8 +8,9 @@ import (
 // DefaultTauSelector implements the largest-gap heuristic used in place
 // of the interactive decision-graph step (Sec. 5): density peaks stand
 // out on the decision graph because their dependent distance δ is
-// anomalously large, so the threshold is placed inside the widest
-// relative gap of the sorted finite δ values. Cells whose density is in
+// anomalously large, so the threshold is placed in the middle of the
+// widest absolute gap between consecutive sorted finite δ values (the
+// difference δ[i] − δ[i−1], not a ratio). Cells whose density is in
 // the lowest quartile are ignored (they are outlier candidates whose δ
 // says nothing about cluster separation, mirroring footnote 5).
 func DefaultTauSelector(graph []DecisionPoint) float64 {

@@ -1,8 +1,8 @@
 package server
 
 import (
+	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"github.com/densitymountain/edmstream"
@@ -53,7 +53,10 @@ func FuzzDecodeBatchRecord(f *testing.F) {
 // must never panic, an accepted body holds at most maxPoints points
 // that each pass Point.Validate, and every accepted batch must survive
 // the WAL batch codec unchanged — a point the server acknowledges but
-// the log cannot carry would break "HTTP 200 implies durable".
+// the log cannot carry would break "HTTP 200 implies durable". It is
+// also differential: whenever the fast path (scanPoints) accepts a
+// body, encoding/json (decodeJSON) must accept the same bytes with
+// bit-identical points.
 func FuzzDecodePoints(f *testing.F) {
 	const maxPoints = 64
 	seeds := []string{
@@ -62,6 +65,15 @@ func FuzzDecodePoints(f *testing.F) {
 		`{"vector":[7]}`,
 		`[{"tokens":["gamma","alpha",""],"time":2,"label":-7}]`,
 		`[]`,
+		string(canonicalBody(16)),
+		`[{"vector":[1e5,-0,1E-3,2.5e+2,0.0,-0.0,1e-400,4.9e-324]}]`,
+		`[{"vector":[1e400]}]`,
+		`[{"vector":[007]}]`,
+		`[{"vector":[0]"time":0}]`,
+		`[{"vector":[1],"vector":[2]},{"Vector":[3]},{"vec\u0074or":[4]},{"VECTOR":[5],"ID":1}]`,
+		" \t\r\n[ {\n\"vector\" :\t[ 1 ,\r2 ] , \"time\" : 3 , \"id\":4,\"label\" : 5 } \n]\n ",
+		`[{"vector":[1]}] trailing bytes`,
+		`[{"vector":[1],"id":9223372036854775807,"label":-9223372036854775808},{"vector":[2],"id":1.0}]`,
 	}
 	for _, seed := range seeds {
 		f.Add([]byte(seed))
@@ -69,7 +81,21 @@ func FuzzDecodePoints(f *testing.F) {
 		f.Add([]byte(seed[:len(seed)-1]))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		pts, err := decodePoints(strings.NewReader(string(body)), 1, maxPoints)
+		if fast, ok := scanPoints(body, 1, maxPoints); ok {
+			ref, err := decodeJSON(body, 1, maxPoints)
+			if err != nil {
+				t.Fatalf("fast path accepted a body encoding/json rejects: %v", err)
+			}
+			if len(ref) != len(fast) {
+				t.Fatalf("fast path decoded %d points, encoding/json %d", len(fast), len(ref))
+			}
+			for i := range fast {
+				if !samePoint(fast[i], ref[i]) {
+					t.Fatalf("point %d: fast path %+v, encoding/json %+v", i, fast[i], ref[i])
+				}
+			}
+		}
+		pts, err := decodePoints(bytes.NewReader(body), 1, maxPoints)
 		if err != nil {
 			return
 		}

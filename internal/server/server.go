@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -593,7 +594,7 @@ func (s *Server) handleIngest(st *stream, w http.ResponseWriter, r *http.Request
 		return
 	}
 	if len(pts) == 0 {
-		writeJSON(w, http.StatusOK, ingestResponse{Accepted: 0, Cells: []int64{}})
+		writeAck(w, ingestResponse{Accepted: 0, Cells: []int64{}})
 		return
 	}
 	// The same deadline bounds the queue send, as a context timeout the
@@ -634,7 +635,7 @@ func (s *Server) handleIngest(st *stream, w http.ResponseWriter, r *http.Request
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ingestResponse{Accepted: len(pts), Cells: cells})
+	writeAck(w, ingestResponse{Accepted: len(pts), Cells: cells})
 }
 
 func (s *Server) handleAssign(st *stream, w http.ResponseWriter, r *http.Request, _ string) {
@@ -649,7 +650,7 @@ func (s *Server) handleAssign(st *stream, w http.ResponseWriter, r *http.Request
 		return
 	}
 	ids := st.c.AssignBatch(pts, make([]int, 0, len(pts)))
-	writeJSON(w, http.StatusOK, assignResponse{Clusters: ids})
+	writeAck(w, assignResponse{Clusters: ids})
 }
 
 func (s *Server) handleSnapshot(st *stream, w http.ResponseWriter, r *http.Request, _ string) {
@@ -1115,6 +1116,19 @@ func degradedReasonIf(d *degradedState) string {
 		return ""
 	}
 	return d.reason()
+}
+
+// writeAck sends a 200 with an ack that renders itself into a pooled
+// buffer (see ingestResponse.appendJSON).
+func writeAck[A interface{ appendJSON([]byte) []byte }](w http.ResponseWriter, ack A) {
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer putBuf(buf)
+	buf.Write(ack.appendJSON(buf.AvailableBuffer()))
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// A failed write means the client is gone; there is no one left to
+	// report it to.
+	_, _ = w.Write(buf.Bytes())
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
+	"sync"
 
 	"github.com/densitymountain/edmstream"
 )
@@ -25,9 +28,10 @@ type wirePoint struct {
 }
 
 // toPoint converts a wire point, stamping omitted fields. now is the
-// server's stream clock reading for this request.
+// server's stream clock reading for this request. A point that carries
+// both a vector and tokens keeps both, so admitPoint can reject it.
 func (w wirePoint) toPoint(now float64) edmstream.Point {
-	p := edmstream.Point{Label: edmstream.NoLabel, Time: now}
+	p := edmstream.Point{Label: edmstream.NoLabel, Time: now, Vector: w.Vector}
 	if w.ID != nil {
 		p.ID = *w.ID
 	}
@@ -39,10 +43,24 @@ func (w wirePoint) toPoint(now float64) edmstream.Point {
 	}
 	if w.Tokens != nil {
 		p.Tokens = edmstream.NewTokenSet(w.Tokens...)
-	} else {
-		p.Vector = w.Vector
 	}
 	return p
+}
+
+// maxPooledBuf caps the buffers bufPool keeps: a buffer that grew past
+// it for one large body or ack is left to the collector, so a single
+// 8 MiB request cannot pin that much memory for the process lifetime.
+const maxPooledBuf = 64 << 10
+
+// bufPool recycles the buffers request bodies are read into and acks
+// are rendered into.
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func putBuf(b *bytes.Buffer) {
+	if b.Cap() <= maxPooledBuf {
+		b.Reset()
+		bufPool.Put(b)
+	}
 }
 
 // decodePoints reads an ingest or assign request body: either a JSON
@@ -51,9 +69,54 @@ func (w wirePoint) toPoint(now float64) edmstream.Point {
 // malformed request is rejected before it can poison a coalesced
 // batch shared with other requests. maxPoints bounds the decoded
 // count (0 = unbounded).
+//
+// The body is read once into a pooled buffer. Canonical JSON-array
+// bodies take scanPoints, a reflection-free scanner; every other body,
+// and every body scanPoints declines, goes to decodeJSON, which alone
+// decides what a body means and what its error says.
 func decodePoints(r io.Reader, now float64, maxPoints int) ([]edmstream.Point, error) {
-	dec := json.NewDecoder(r)
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer putBuf(buf)
+	if _, err := buf.ReadFrom(r); err != nil {
+		return nil, err
+	}
+	if pts, ok := scanPoints(buf.Bytes(), now, maxPoints); ok {
+		return pts, nil
+	}
+	return decodeJSON(buf.Bytes(), now, maxPoints)
+}
+
+// decodeJSON is the encoding/json decoder of a buffered body: the
+// definition of what every body means. A body whose first non-space
+// byte is '{' is NDJSON (a single bare object is a one-line NDJSON
+// body), and every one of its objects goes through the same
+// dec.Decode as an array element does.
+func decodeJSON(body []byte, now float64, maxPoints int) ([]edmstream.Point, error) {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
+
+	var pts []edmstream.Point
+	next := func() error {
+		var w wirePoint
+		if err := dec.Decode(&w); err != nil {
+			return fmt.Errorf("point %d: %w", len(pts), err)
+		}
+		var err error
+		pts, err = admitPoint(pts, w.toPoint(now), maxPoints)
+		return err
+	}
+
+	if i := skipSpace(body, 0); i < len(body) && body[i] == '{' {
+		for {
+			err := next()
+			if errors.Is(err, io.EOF) {
+				return pts, nil
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+	}
 
 	tok, err := dec.Token()
 	if errors.Is(err, io.EOF) {
@@ -62,104 +125,38 @@ func decodePoints(r io.Reader, now float64, maxPoints int) ([]edmstream.Point, e
 	if err != nil {
 		return nil, err
 	}
-
-	var pts []edmstream.Point
-	add := func(w wirePoint) error {
-		if w.Vector != nil && w.Tokens != nil {
-			// toPoint prefers tokens, so catch the conflict here where
-			// both halves are still visible.
-			return fmt.Errorf("point %d: has both vector and tokens", len(pts))
-		}
-		if w.Tokens == nil && len(w.Vector) == 0 {
-			return fmt.Errorf("point %d: vector must have at least one coordinate", len(pts))
-		}
-		p := w.toPoint(now)
-		if err := p.Validate(); err != nil {
-			return fmt.Errorf("point %d: %w", len(pts), err)
-		}
-		if maxPoints > 0 && len(pts) >= maxPoints {
-			return fmt.Errorf("too many points in one request (max %d)", maxPoints)
-		}
-		pts = append(pts, p)
-		return nil
+	if delim, ok := tok.(json.Delim); !ok || delim != '[' {
+		return nil, fmt.Errorf("request body must be a JSON array of points or NDJSON, got %v", tok)
 	}
-
-	if delim, ok := tok.(json.Delim); ok && delim == '[' {
-		// JSON array body.
-		for dec.More() {
-			var w wirePoint
-			if err := dec.Decode(&w); err != nil {
-				return nil, fmt.Errorf("point %d: %w", len(pts), err)
-			}
-			if err := add(w); err != nil {
-				return nil, err
-			}
-		}
-		if _, err := dec.Token(); err != nil {
+	for dec.More() {
+		if err := next(); err != nil {
 			return nil, err
 		}
-		return pts, nil
 	}
-
-	if delim, ok := tok.(json.Delim); ok && delim == '{' {
-		// NDJSON (or a single bare object). The first object's opening
-		// brace is already consumed, so rebuild it from the token
-		// stream, then continue decoding whole objects.
-		var first wirePoint
-		if err := decodeOpenObject(dec, &first); err != nil {
-			return nil, fmt.Errorf("point 0: %w", err)
-		}
-		if err := add(first); err != nil {
-			return nil, err
-		}
-		for {
-			var w wirePoint
-			if err := dec.Decode(&w); errors.Is(err, io.EOF) {
-				return pts, nil
-			} else if err != nil {
-				return nil, fmt.Errorf("point %d: %w", len(pts), err)
-			}
-			if err := add(w); err != nil {
-				return nil, err
-			}
-		}
+	if _, err := dec.Token(); err != nil {
+		return nil, err
 	}
-
-	return nil, fmt.Errorf("request body must be a JSON array of points or NDJSON, got %v", tok)
+	return pts, nil
 }
 
-// decodeOpenObject decodes the remainder of an object whose opening
-// '{' token has already been consumed from dec.
-func decodeOpenObject(dec *json.Decoder, w *wirePoint) error {
-	for dec.More() {
-		keyTok, err := dec.Token()
-		if err != nil {
-			return err
-		}
-		key, _ := keyTok.(string)
-		switch key {
-		case "id":
-			w.ID = new(int64)
-			err = dec.Decode(w.ID)
-		case "vector":
-			err = dec.Decode(&w.Vector)
-		case "tokens":
-			err = dec.Decode(&w.Tokens)
-		case "time":
-			w.Time = new(float64)
-			err = dec.Decode(w.Time)
-		case "label":
-			w.Label = new(int)
-			err = dec.Decode(w.Label)
-		default:
-			return fmt.Errorf("unknown field %q", key)
-		}
-		if err != nil {
-			return err
-		}
+// admitPoint applies the rules every decoded point must pass, on either
+// decode path, and appends it to pts: exactly one of vector and tokens,
+// a non-empty vector, Point.Validate, and at most maxPoints points
+// (0 = unbounded).
+func admitPoint(pts []edmstream.Point, p edmstream.Point, maxPoints int) ([]edmstream.Point, error) {
+	if p.Vector != nil && p.Tokens != nil {
+		return pts, fmt.Errorf("point %d: has both vector and tokens", len(pts))
 	}
-	_, err := dec.Token() // closing '}'
-	return err
+	if p.Tokens == nil && len(p.Vector) == 0 {
+		return pts, fmt.Errorf("point %d: vector must have at least one coordinate", len(pts))
+	}
+	if err := p.Validate(); err != nil {
+		return pts, fmt.Errorf("point %d: %w", len(pts), err)
+	}
+	if maxPoints > 0 && len(pts) >= maxPoints {
+		return pts, fmt.Errorf("too many points in one request (max %d)", maxPoints)
+	}
+	return append(pts, p), nil
 }
 
 // pointShape encodes a point's modality and dimensionality as one
@@ -214,6 +211,40 @@ type ingestResponse struct {
 // request the clusters array still has exactly one entry.
 type assignResponse struct {
 	Clusters []int `json:"clusters"`
+}
+
+// The two hot acks render themselves by appending, with the same bytes
+// writeJSON would send (trailing newline included); every other
+// response goes through writeJSON.
+
+func (r ingestResponse) appendJSON(b []byte) []byte {
+	b = append(b, `{"accepted":`...)
+	b = strconv.AppendInt(b, int64(r.Accepted), 10)
+	b = append(b, `,"cells":`...)
+	b = appendInts(b, r.Cells)
+	return append(b, "}\n"...)
+}
+
+func (r assignResponse) appendJSON(b []byte) []byte {
+	b = append(b, `{"clusters":`...)
+	b = appendInts(b, r.Clusters)
+	return append(b, "}\n"...)
+}
+
+// appendInts renders xs as a JSON array, or null for a nil slice, as
+// encoding/json does.
+func appendInts[T int | int64](b []byte, xs []T) []byte {
+	if xs == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
+	}
+	return append(b, ']')
 }
 
 // wireClusterSummary is one cluster in the snapshot listing.
