@@ -71,6 +71,9 @@ func batchRun(t *testing.T, cfg Config, pts []stream.Point, batchSize, snapEvery
 		if err := e.InsertBatch(pts[i:end]); err != nil {
 			t.Fatalf("InsertBatch(points %d:%d): %v", i, end, err)
 		}
+		if err := checkOracleAt(e, i, end); err != nil {
+			t.Fatalf("batch size %d, after point %d: %v", batchSize, end, err)
+		}
 		if end%snapEvery == 0 {
 			snaps = append(snaps, e.Snapshot())
 		}
@@ -229,8 +232,8 @@ func TestBatchMidBatchCellChurn(t *testing.T) {
 			// All 20 fresh-location points must sit in the one cell the
 			// first of them created mid-batch.
 			var fresh []*Cell
-			for _, c := range bat.cells.byID {
-				if c != nil && c.seed.Vector[0] > 25 && c.seed.Vector[0] < 75 {
+			for _, c := range bat.sortedCells() {
+				if c.seed.Vector[0] > 25 && c.seed.Vector[0] < 75 {
 					fresh = append(fresh, c)
 				}
 			}

@@ -12,6 +12,11 @@ import (
 type Cell struct {
 	// id is the cell's unique identifier.
 	id int64
+	// slot addresses the cell in the engine's cell slab and seed column
+	// for its lifetime (see cellSlab); col reports whether the seed has
+	// a row in the seed column (numeric seeds of the stream's width).
+	slot int32
+	col  bool
 	// seed is the seed point s_c of the cell. Its timestamp is the
 	// cell's creation time.
 	seed stream.Point
@@ -55,13 +60,6 @@ type Cell struct {
 	// logNorm keys do, which lets the density filter (Theorem 1) test
 	// candidates without exponentiating per candidate.
 	logNorm float64
-	// lastDist is the distance from the most recently assigned point to
-	// this cell's seed, valid when lastDistStamp equals the stream's
-	// point counter; it feeds the triangle-inequality filter without a
-	// per-point map.
-	lastDist      float64
-	lastDistStamp int64
-
 	// Incremental cluster-extraction bookkeeping (see extract.go).
 	// cluster is the MSD subtree the cell currently belongs to (nil
 	// while inactive or before its first extraction) and memberIdx its
@@ -145,31 +143,6 @@ func (c *Cell) distanceToPoint(p stream.Point) float64 { return c.seed.Distance(
 
 // distanceToCell returns the distance between the two cells' seeds.
 func (c *Cell) distanceToCell(o *Cell) float64 { return c.seed.Distance(o.seed) }
-
-// distanceBelow reports whether the seed distance between c and o is
-// strictly below bound, returning the distance when it is. For numeric
-// seeds the comparison runs in the squared domain, so the square root
-// — a large share of a candidate examination on the dependency-update
-// hot path — is only taken for the candidates that actually link.
-func (c *Cell) distanceBelow(o *Cell, bound float64) (float64, bool) {
-	cv, ov := c.seed.Vector, o.seed.Vector
-	if cv == nil || ov == nil {
-		d := c.seed.Distance(o.seed)
-		if d < bound {
-			return d, true
-		}
-		return 0, false
-	}
-	var sum float64
-	for i := range cv {
-		d := cv[i] - ov[i]
-		sum += d * d
-	}
-	if sum < bound*bound {
-		return math.Sqrt(sum), true
-	}
-	return 0, false
-}
 
 // higherRanked reports whether cell a outranks cell b in density at
 // time now: strictly higher density, with cell ID as a deterministic

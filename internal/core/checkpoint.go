@@ -36,7 +36,7 @@ import (
 //     strongness-flip fast path in link() compares against extractTau,
 //     and the tracker diff only runs when membership moved.
 //   - The full Stats block: Stats.Points doubles as the probe stamp
-//     for the triangle-inequality filter (lastDistStamp).
+//     for the triangle-inequality filter (the probe stamp column).
 //   - The published snapshot verbatim: its cluster weights were
 //     computed with the decay normalization of their refresh time and
 //     cannot be re-derived later.
@@ -227,11 +227,8 @@ func (e *EDMStream) EncodeCheckpoint(w io.Writer) error {
 		TrackerBase:   e.tracker.base,
 	}
 
-	// Cells in ID order (the slab is ID-indexed).
-	for _, c := range e.cells.byID {
-		if c == nil {
-			continue
-		}
+	// Cells in ID order.
+	for _, c := range e.sortedCells() {
 		cc := ckptCell{
 			ID:            c.id,
 			Seed:          toCkptPoint(c.seed),
@@ -242,8 +239,8 @@ func (e *EDMStream) EncodeCheckpoint(w io.Writer) error {
 			Active:        c.active,
 			DepID:         -1,
 			Delta:         c.delta,
-			LastDist:      c.lastDist,
-			LastDistStamp: c.lastDistStamp,
+			LastDist:      e.probes[c.slot].dist,
+			LastDistStamp: e.probes[c.slot].stamp,
 		}
 		if c.dep != nil {
 			cc.DepID = c.dep.id
@@ -261,7 +258,7 @@ func (e *EDMStream) EncodeCheckpoint(w io.Writer) error {
 	// marked; extract() skips them (they are inactive), so only
 	// slab-live entries need to survive, in order.
 	for _, c := range e.tree.dirty {
-		if e.cells.get(c.id) == c {
+		if e.cells.live(c) {
 			st.DirtyIDs = append(st.DirtyIDs, c.id)
 		}
 	}
@@ -325,8 +322,8 @@ func (e *EDMStream) EncodeCheckpoint(w io.Writer) error {
 	return nil
 }
 
-// maxCheckpointBytes bounds a checkpoint payload a reader will accept,
-// protecting recovery from allocating on a corrupt length prefix.
+// maxCheckpointBytes bounds the payload length a reader will believe;
+// anything larger is treated as corruption.
 const maxCheckpointBytes = 1 << 32
 
 // DecodeCheckpoint reads a checkpoint written by EncodeCheckpoint and
@@ -348,9 +345,15 @@ func DecodeCheckpoint(cfg Config, r io.Reader) (*EDMStream, error) {
 		return nil, fmt.Errorf("core: checkpoint payload length %d exceeds limit", n)
 	}
 	sum := binary.LittleEndian.Uint32(header[16:20])
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// Read incrementally rather than allocating the claimed length up
+	// front: a corrupt header costs no more memory than the bytes that
+	// actually arrive.
+	payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err != nil {
 		return nil, fmt.Errorf("core: reading checkpoint payload: %w", err)
+	}
+	if uint64(len(payload)) != n {
+		return nil, fmt.Errorf("core: checkpoint payload truncated at %d of %d bytes", len(payload), n)
 	}
 	if got := crc32.ChecksumIEEE(payload); got != sum {
 		return nil, fmt.Errorf("core: checkpoint CRC mismatch (stored %08x, computed %08x)", sum, got)
@@ -388,7 +391,7 @@ func (e *EDMStream) restore(st *ckptState) error {
 	// that has since been deleted (mixed streams under IndexAuto).
 	switch st.IndexKind {
 	case "grid":
-		g := index.NewGrid(e.cfg.Radius)
+		g := index.NewGrid(e.cfg.Radius, &e.seeds)
 		e.seedIdx = g
 		e.tree.accel = g
 	case "linear":
@@ -403,43 +406,43 @@ func (e *EDMStream) restore(st *ckptState) error {
 
 	// Pass 1: materialize cells in ID order. Inserting into the seed
 	// index in ID order is exact: every index search resolves distance
-	// ties toward the lowest cell ID, so insertion order is not
-	// observable.
+	// ties toward the lowest cell ID, so insertion order (and the slots
+	// the cells receive) is not observable. byID resolves the IDs the
+	// checkpoint names for the rest of the restore.
+	byID := make(map[int64]*Cell, len(st.Cells))
 	for i := range st.Cells {
 		cc := &st.Cells[i]
-		if e.cells.get(cc.ID) != nil {
+		if byID[cc.ID] != nil {
 			return fmt.Errorf("core: checkpoint repeats cell %d", cc.ID)
 		}
 		c := &Cell{
-			id:            cc.ID,
-			seed:          cc.Seed.point(),
-			rho:           cc.Rho,
-			rhoTime:       cc.RhoTime,
-			lastAbsorb:    cc.LastAbsorb,
-			count:         cc.Count,
-			delta:         cc.Delta,
-			lastDist:      cc.LastDist,
-			lastDistStamp: cc.LastDistStamp,
+			id:         cc.ID,
+			seed:       cc.Seed.point(),
+			rho:        cc.Rho,
+			rhoTime:    cc.RhoTime,
+			lastAbsorb: cc.LastAbsorb,
+			count:      cc.Count,
+			delta:      cc.Delta,
 		}
-		e.cells.put(c)
-		e.seedIdx.Insert(c.id, c.seed)
-		e.refreshLogNorm(c)
+		byID[c.id] = c
+		e.addCell(c)
+		e.probes[c.slot] = probe{dist: cc.LastDist, stamp: cc.LastDistStamp}
 	}
 
 	// Pass 2: wire dependency links and children (slice order
 	// preserved — it drives extraction walk order).
 	for i := range st.Cells {
 		cc := &st.Cells[i]
-		c := e.cells.get(cc.ID)
+		c := byID[cc.ID]
 		if cc.DepID >= 0 {
-			dep := e.cells.get(cc.DepID)
+			dep := byID[cc.DepID]
 			if dep == nil {
 				return fmt.Errorf("core: cell %d depends on missing cell %d", cc.ID, cc.DepID)
 			}
 			c.dep = dep
 		}
 		for _, childID := range cc.ChildIDs {
-			child := e.cells.get(childID)
+			child := byID[childID]
 			if child == nil {
 				return fmt.Errorf("core: cell %d lists missing child %d", cc.ID, childID)
 			}
@@ -452,7 +455,7 @@ func (e *EDMStream) restore(st *ckptState) error {
 	// the full extraction iterate in); everything else parks in the
 	// reservoir.
 	for i, id := range st.ActiveIDs {
-		c := e.cells.get(id)
+		c := byID[id]
 		if c == nil {
 			return fmt.Errorf("core: active list names missing cell %d", id)
 		}
@@ -462,13 +465,13 @@ func (e *EDMStream) restore(st *ckptState) error {
 		e.tree.densInsert(c)
 	}
 	for i := range st.Cells {
-		if c := e.cells.get(st.Cells[i].ID); !c.active {
+		if c := byID[st.Cells[i].ID]; !c.active {
 			e.res.add(c)
 		}
 	}
 
 	for _, id := range st.DirtyIDs {
-		c := e.cells.get(id)
+		c := byID[id]
 		if c == nil {
 			return fmt.Errorf("core: dirty list names missing cell %d", id)
 		}
@@ -483,12 +486,12 @@ func (e *EDMStream) restore(st *ckptState) error {
 		// extraction: -1, or its old ID in checkpoints written before
 		// deletion detached it. Either way the cluster is detached and
 		// drains at the next extraction, as it would have uninterrupted.
-		if peak := e.cells.get(kc.PeakID); peak != nil {
+		if peak := byID[kc.PeakID]; peak != nil {
 			cl.peak = peak
 			peak.leads = cl
 		}
 		for j, mid := range kc.MemberIDs {
-			c := e.cells.get(mid)
+			c := byID[mid]
 			if c == nil {
 				return fmt.Errorf("core: cluster %d has missing member cell %d", kc.ID, mid)
 			}

@@ -54,6 +54,11 @@ func checkpointRun(t *testing.T, cfg Config, pts []stream.Point, batchSize, snap
 		}
 		if cut(end) {
 			e = roundTrip(t, e)
+			if err := checkNearestDependencies(e, numericOnly(e)); err != nil {
+				t.Fatalf("restored after point %d: %v", end, err)
+			}
+		} else if err := checkOracleAt(e, i, end); err != nil {
+			t.Fatalf("after point %d: %v", end, err)
 		}
 	}
 	snaps = append(snaps, e.Snapshot())

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"github.com/densitymountain/edmstream/internal/distance"
 	"github.com/densitymountain/edmstream/internal/index"
 	"github.com/densitymountain/edmstream/internal/stream"
 )
@@ -26,20 +27,21 @@ type dpTree struct {
 	// cells — active and reservoir — so searches filter by membership
 	// in the tree.
 	accel index.SeedIndex
-	// slab resolves index candidates (cell IDs) to cells without a map
-	// lookup. It is the engine's cell slab, shared at construction.
-	slab *cellSlab
+	// slab resolves index candidates (slots) to cells and seeds holds
+	// the seed rows; both are the engine's, shared at construction.
+	slab  *cellSlab
+	seeds *index.Seeds
 	// byDensity buckets the active cells by their decay-normalized
 	// log-density key (floor(logNorm/densBucketWidth)), so the density
 	// filter of Theorem 1 can enumerate just the cells inside an
 	// absorption's density band instead of scanning every active cell.
-	byDensity map[int64][]*Cell
+	byDensity map[int64][]densEntry
 
 	// higherPred is the reusable NearestWhere predicate of the indexed
 	// dependency search ("active, not the target, outranks the
 	// target"); predCell/predNow parameterize it per call so the hot
 	// path does not allocate a closure.
-	higherPred func(id int64) bool
+	higherPred func(slot int32) bool
 	predCell   *Cell
 	predNow    float64
 
@@ -61,16 +63,31 @@ type dpTree struct {
 	partChanged    bool
 }
 
+// densEntry is an active cell's entry in the density band index. It
+// carries the keys the band loop of a dependency update filters and
+// tests on — the cell's logNorm and δ, its slot and whether its seed
+// has a column row — inline, so the loop reads one contiguous bucket
+// plus the slot-addressed columns and dereferences a Cell only to
+// relink it or to break a near-tie. logNorm and delta mirror the
+// cell's fields: rebucket and setDelta keep them in sync.
+type densEntry struct {
+	logNorm float64
+	delta   float64
+	cell    *Cell
+	slot    int32
+	col     bool
+}
+
 // densBucketWidth is the log-density width of one density band bucket.
 // An absorption's band is ln(1 + 1/ρ) wide, so established cells span
 // a bucket or two while brand-new cells (ρ ≈ 1) span three.
 const densBucketWidth = 0.25
 
 func newDPTree(d stream.Decay) *dpTree {
-	t := &dpTree{byDensity: make(map[int64][]*Cell), decay: d}
-	t.higherPred = func(id int64) bool {
-		o := t.slab.get(id)
-		return o != nil && o.active && o != t.predCell && t.outranks(o, t.predCell, t.predNow)
+	t := &dpTree{byDensity: make(map[int64][]densEntry), decay: d}
+	t.higherPred = func(slot int32) bool {
+		o := t.slab.at(slot)
+		return o.active && o != t.predCell && t.outranks(o, t.predCell, t.predNow)
 	}
 	return t
 }
@@ -85,7 +102,7 @@ func (t *dpTree) densInsert(c *Cell) {
 	b := densBucketOf(c.logNorm)
 	c.densBucket = b
 	c.densIdx = len(t.byDensity[b])
-	t.byDensity[b] = append(t.byDensity[b], c)
+	t.byDensity[b] = append(t.byDensity[b], densEntry{logNorm: c.logNorm, delta: c.delta, cell: c, slot: c.slot, col: c.col})
 }
 
 // densRemove takes an active cell out of the density band index
@@ -94,7 +111,8 @@ func (t *dpTree) densRemove(c *Cell) {
 	bucket := t.byDensity[c.densBucket]
 	last := len(bucket) - 1
 	bucket[c.densIdx] = bucket[last]
-	bucket[c.densIdx].densIdx = c.densIdx
+	bucket[c.densIdx].cell.densIdx = c.densIdx
+	bucket[last] = densEntry{}
 	bucket = bucket[:last]
 	if len(bucket) == 0 {
 		delete(t.byDensity, c.densBucket)
@@ -107,10 +125,20 @@ func (t *dpTree) densRemove(c *Cell) {
 // its logNorm key changed (it absorbed a point).
 func (t *dpTree) rebucket(c *Cell) {
 	if densBucketOf(c.logNorm) == c.densBucket {
+		t.byDensity[c.densBucket][c.densIdx].logNorm = c.logNorm
 		return
 	}
 	t.densRemove(c)
 	t.densInsert(c)
+}
+
+// setDelta sets c's dependent distance, mirroring it into c's density
+// band entry while c is active.
+func (t *dpTree) setDelta(c *Cell, delta float64) {
+	c.delta = delta
+	if c.active {
+		t.byDensity[c.densBucket][c.densIdx].delta = delta
+	}
 }
 
 // size returns the number of active cells.
@@ -135,7 +163,7 @@ func (t *dpTree) remove(c *Cell) {
 	t.unlink(c)
 	for i, child := range c.children {
 		child.dep = nil
-		child.delta = math.Inf(1)
+		t.setDelta(child, math.Inf(1))
 		// Each child becomes a root; its subtree's peaks must be
 		// recomputed at the next extraction.
 		t.markDirty(child)
@@ -162,12 +190,12 @@ func (t *dpTree) link(c, dep *Cell, delta float64) {
 		if t.extractValid && (c.delta <= t.extractTau) != (delta <= t.extractTau) {
 			t.markDirty(c)
 		}
-		c.delta = delta
+		t.setDelta(c, delta)
 		return
 	}
 	t.unlink(c)
 	c.dep = dep
-	c.delta = delta
+	t.setDelta(c, delta)
 	if dep != nil {
 		c.childIdx = len(dep.children)
 		dep.children = append(dep.children, c)
@@ -187,7 +215,7 @@ func (t *dpTree) unlink(c *Cell) {
 		t.markDirty(c)
 	}
 	c.dep = nil
-	c.delta = math.Inf(1)
+	t.setDelta(c, math.Inf(1))
 }
 
 // outranks reports whether cell a outranks cell b in density at time
@@ -198,7 +226,14 @@ func (t *dpTree) unlink(c *Cell) {
 // near-equal keys (including exact density ties, which the cell-ID
 // tie-break resolves) fall through to the exact comparison.
 func (t *dpTree) outranks(a, b *Cell, now float64) bool {
-	if d := a.logNorm - b.logNorm; d > logBandSlack {
+	return t.outranksBy(a.logNorm-b.logNorm, a, b, now)
+}
+
+// outranksBy is outranks given the key difference d = a.logNorm −
+// b.logNorm, so a caller holding b's key inline (a density band entry)
+// touches b only to break a near-tie.
+func (t *dpTree) outranksBy(d float64, a, b *Cell, now float64) bool {
+	if d > logBandSlack {
 		return true
 	} else if d < -logBandSlack {
 		return false
@@ -257,7 +292,7 @@ func (t *dpTree) computeDependency(c *Cell, now float64) {
 		if o == c || !t.outranks(o, c, now) {
 			continue
 		}
-		pick.consider(o, c.distanceToCell(o))
+		pick.consider(o, t.seedDist(c, o))
 	}
 	t.linkPick(c, pick)
 }
@@ -282,24 +317,62 @@ func (t *dpTree) computeDependencyIndexed(c *Cell, now float64) {
 			if b < start {
 				continue
 			}
-			for _, o := range bucket {
+			for i := range bucket {
+				o := bucket[i].cell
 				if o == c || !t.outranks(o, c, now) {
 					continue
 				}
-				pick.consider(o, c.distanceToCell(o))
+				pick.consider(o, t.seedDist(c, o))
 			}
 		}
 		t.linkPick(c, pick)
 		return
 	}
 	t.predCell, t.predNow = c, now
-	id, d, ok := t.accel.NearestWhere(c.seed, t.higherPred)
+	slot, d, ok := t.accel.NearestWhere(c.seed, t.higherPred)
 	t.predCell = nil
 	if !ok {
 		t.unlink(c)
 		return
 	}
-	t.link(c, t.slab.get(id), d)
+	t.link(c, t.slab.at(slot), d)
+}
+
+// seedDist returns the distance between the seeds of a and b, read
+// from the seed column when both have a row there.
+func (t *dpTree) seedDist(a, b *Cell) float64 {
+	if a.col && b.col {
+		return distance.Euclid(t.seeds.Row(a.slot), t.seeds.Row(b.slot))
+	}
+	return a.distanceToCell(b)
+}
+
+// distanceBelow reports whether the seed distance between o and c is
+// strictly below bound, returning the distance when it is.
+func (t *dpTree) distanceBelow(o, c *Cell, bound float64) (float64, bool) {
+	if o.col && c.col {
+		return belowBound(t.seeds.Row(o.slot), t.seeds.Row(c.slot), bound)
+	}
+	if d := o.distanceToCell(c); d < bound {
+		return d, true
+	}
+	return 0, false
+}
+
+// belowBound is distanceBelow for two vectors of equal length. The
+// comparison runs in the squared domain, so the square root — a large
+// share of a candidate examination on the dependency-update hot path —
+// is only taken for the candidates that actually link.
+func belowBound(a, b []float64, bound float64) (float64, bool) {
+	var sum float64
+	for i, x := range a {
+		d := x - b[i]
+		sum += d * d
+	}
+	if sum < bound*bound {
+		return math.Sqrt(sum), true
+	}
+	return 0, false
 }
 
 // retargetLower checks every active cell ranked below c and relinks it
@@ -316,7 +389,7 @@ func (t *dpTree) retargetLower(c *Cell, now float64) {
 		if t.outranks(o, c, now) {
 			continue
 		}
-		if d, below := o.distanceBelow(c, o.delta); below {
+		if d, below := t.distanceBelow(o, c, o.delta); below {
 			t.link(o, c, d)
 		}
 	}
@@ -450,8 +523,12 @@ func (t *dpTree) checkInvariants(now float64) string {
 	}
 	inBuckets := 0
 	for b, bucket := range t.byDensity {
-		for i, c := range bucket {
+		for i, en := range bucket {
+			c := en.cell
 			inBuckets++
+			if en.logNorm != c.logNorm || en.delta != c.delta || en.slot != c.slot || en.col != c.col {
+				return "density band entry keys out of sync with its cell"
+			}
 			if c.densBucket != b || c.densIdx != i {
 				return "density band index out of sync"
 			}

@@ -32,9 +32,15 @@ type EDMStream struct {
 
 	tree *dpTree
 	res  *reservoir
-	// cells indexes every cluster-cell (active and inactive) by ID in
-	// a dense ID-indexed slab (see cellSlab).
+	// cells holds every cluster-cell (active and inactive) by slot
+	// (see cellSlab), and seeds their seed vectors, one row per slot.
 	cells cellSlab
+	seeds index.Seeds
+	// probes holds, per slot, the distance from the most recently
+	// probed point to the cell's seed, valid when its stamp equals the
+	// probe's point counter; it feeds the triangle-inequality filter
+	// (Theorem 2) without a per-point map.
+	probes []probe
 	// seedIdx indexes every cell's seed for nearest-seed probes. It is
 	// resolved lazily from the first point (grid for low-dimensional
 	// Euclidean streams, linear scan otherwise — see IndexPolicy).
@@ -80,7 +86,7 @@ type EDMStream struct {
 	// measured distances onto cells for the triangle-inequality filter.
 	// probeStamp parameterizes it per probe so the hot path does not
 	// allocate a closure per insert.
-	onProbe    func(id int64, d float64)
+	onProbe    func(slot int32, d float64)
 	probeStamp int64
 
 	// acks, while non-nil, collects the ID of the cluster-cell that
@@ -92,14 +98,22 @@ type EDMStream struct {
 	// Scratch buffers reused across calls so steady-state ingestion
 	// does not allocate: one backs single-point Inserts, demote/repair
 	// back the sweep, ordered backs sortedCells, deltas backs the
-	// adaptive-τ retune and part the partition handed to the evolution
-	// tracker.
-	one     [1]stream.Point
-	demote  []*Cell
-	repair  []*Cell
-	ordered []*Cell
-	deltas  []float64
-	part    []obsCluster
+	// adaptive-τ retune, part the partition handed to the evolution
+	// tracker and everyCell the dependency update without the density
+	// filter.
+	one       [1]stream.Point
+	demote    []*Cell
+	repair    []*Cell
+	ordered   []*Cell
+	deltas    []float64
+	part      []obsCluster
+	everyCell []densEntry
+}
+
+// probe is one slot's entry in the triangle-filter distance column.
+type probe struct {
+	dist  float64
+	stamp int64
 }
 
 // published is one atomically swapped read-side state: an immutable
@@ -144,11 +158,9 @@ func New(cfg Config) (*EDMStream, error) {
 		lnDecay: cfg.Decay.Lambda * math.Log(1/cfg.Decay.A),
 		tracker: newEvolutionTracker(cfg.MaxEvents),
 	}
-	e.tree.slab = &e.cells
-	e.onProbe = func(id int64, d float64) {
-		c := e.cells.get(id)
-		c.lastDist = d
-		c.lastDistStamp = e.probeStamp
+	e.tree.slab, e.tree.seeds = &e.cells, &e.seeds
+	e.onProbe = func(slot int32, d float64) {
+		e.probes[slot] = probe{dist: d, stamp: e.probeStamp}
 		e.stats.SeedCandidates++
 	}
 	return e, nil
@@ -178,7 +190,7 @@ func (e *EDMStream) ensureIndex(p stream.Point) {
 		useGrid = !p.IsText() && p.Dim() > 0 && p.Dim() <= maxAutoGridDim
 	}
 	if useGrid {
-		g := index.NewGrid(e.cfg.Radius)
+		g := index.NewGrid(e.cfg.Radius, &e.seeds)
 		e.seedIdx = g
 		e.tree.accel = g
 	} else {
@@ -195,12 +207,19 @@ func (e *EDMStream) IndexKind() string {
 	return e.seedIdx.Kind()
 }
 
-// addCell registers a newly created cell in the cell slab and the seed
-// index, and stamps its decay-normalized log-density key.
+// addCell registers a newly created cell in the cell slab, the seed
+// column and the seed index, and stamps its decay-normalized
+// log-density key.
 func (e *EDMStream) addCell(c *Cell) {
 	e.ensureIndex(c.seed)
 	e.cells.put(c)
-	e.seedIdx.Insert(c.id, c.seed)
+	c.col = e.seeds.Put(c.slot, c.seed.Vector)
+	if int(c.slot) == len(e.probes) {
+		e.probes = append(e.probes, probe{})
+	} else {
+		e.probes[c.slot] = probe{}
+	}
+	e.seedIdx.Insert(c.slot, c.id, c.seed)
 	e.refreshLogNorm(c)
 }
 
@@ -214,8 +233,8 @@ func (e *EDMStream) removeCell(c *Cell) {
 		cl.peak = nil
 		c.leads = nil
 	}
-	e.seedIdx.Remove(c.id, c.seed)
-	e.cells.remove(c.id)
+	e.seedIdx.Remove(c.slot, c.seed)
+	e.cells.remove(c)
 }
 
 // refreshLogNorm recomputes c's decay-normalized log-density key after
@@ -548,11 +567,11 @@ func (e *EDMStream) flushRun(run *absorbRun) {
 // filter applies (Theorem 2 skips are optional, never required).
 func (e *EDMStream) nearestSeed(p stream.Point) (*Cell, float64, bool) {
 	e.probeStamp = e.stats.Points
-	id, d, ok := e.seedIdx.NearestWithin(p, e.cfg.Radius, e.onProbe)
+	slot, d, ok := e.seedIdx.NearestWithin(p, e.cfg.Radius, e.onProbe)
 	if !ok {
 		return nil, 0, false
 	}
-	return e.cells.get(id), d, true
+	return e.cells.at(slot), d, true
 }
 
 // logBandSlack widens the density filter's log-domain band to absorb
@@ -574,25 +593,50 @@ const logBandSlack = 1e-6
 // now) costs no logarithms and makes consecutive per-point bands tile
 // a coalesced run's combined band float-exactly.
 func (e *EDMStream) updateDependenciesBand(c *Cell, logBefore, now float64, stamp int64) {
-	distToC := c.lastDist
-	haveDistToC := c.lastDistStamp == stamp
+	toC := e.probes[c.slot]
+	triangle := e.cfg.Filters&FilterTriangle != 0 && toC.stamp == stamp
+	var cv []float64
+	if c.col {
+		cv = e.seeds.Row(c.slot)
+	}
 
-	examine := func(o *Cell) {
-		if e.cfg.Filters&FilterTriangle != 0 && haveDistToC && o.lastDistStamp == stamp {
-			// Theorem 2: ||p,s_o| − |p,s_c|| is a lower bound on
-			// |s_o,s_c|; if it already exceeds o's dependent distance,
-			// c cannot become o's new dependency.
-			if math.Abs(o.lastDist-distToC) > o.delta {
-				e.stats.FilteredByTriangle++
-				return
+	// scan examines the entries of bucket other than c's own; with the
+	// density filter on, only those whose key lies in [lo, hi).
+	examined, filtered := int64(0), int64(0)
+	scan := func(bucket []densEntry, lo, hi float64) {
+		for i := range bucket {
+			o := &bucket[i]
+			if o.cell == c {
+				continue
 			}
-		}
-		if !e.tree.outranks(c, o, now) {
-			return
-		}
-		if d, below := o.distanceBelow(c, o.delta); below {
-			e.tree.link(o, c, d)
-			e.stats.DependencyRelinks++
+			examined++
+			if o.logNorm < lo || o.logNorm >= hi {
+				filtered++
+				continue
+			}
+			if triangle {
+				// Theorem 2: ||p,s_o| − |p,s_c|| is a lower bound on
+				// |s_o,s_c|; if it already exceeds o's dependent
+				// distance, c cannot become o's new dependency.
+				if toO := e.probes[o.slot]; toO.stamp == stamp && math.Abs(toO.dist-toC.dist) > o.delta {
+					e.stats.FilteredByTriangle++
+					continue
+				}
+			}
+			if !e.tree.outranksBy(c.logNorm-o.logNorm, c, o.cell, now) {
+				continue
+			}
+			var d float64
+			var below bool
+			if o.col && cv != nil {
+				d, below = belowBound(e.seeds.Row(o.slot), cv, o.delta)
+			} else {
+				d, below = e.tree.distanceBelow(o.cell, c, o.delta)
+			}
+			if below {
+				e.tree.link(o.cell, c, d)
+				e.stats.DependencyRelinks++
+			}
 		}
 	}
 
@@ -608,43 +652,32 @@ func (e *EDMStream) updateDependenciesBand(c *Cell, logBefore, now float64, stam
 		// density without being touched.
 		bandLo := logBefore - logBandSlack
 		bandHi := c.logNorm + logBandSlack
-		examined := int64(0)
-		inBand := func(bucket []*Cell) {
-			for _, o := range bucket {
-				if o == c {
-					continue
-				}
-				examined++
-				if o.logNorm < bandLo || o.logNorm >= bandHi {
-					e.stats.FilteredByDensity++
-					continue
-				}
-				examine(o)
-			}
-		}
 		// Enumerate the bucket range when it is narrow; otherwise walk
 		// the occupied buckets instead. Both enumerate a superset of
-		// the band; the per-cell check above stays authoritative.
+		// the band; the per-cell check in scan stays authoritative.
 		loF := math.Floor(bandLo / densBucketWidth)
 		hiF := math.Floor(bandHi / densBucketWidth)
 		if hiF-loF < float64(len(e.tree.byDensity)) {
 			for b := int64(loF); b <= int64(hiF); b++ {
-				inBand(e.tree.byDensity[b])
+				scan(e.tree.byDensity[b], bandLo, bandHi)
 			}
 		} else {
 			for b, bucket := range e.tree.byDensity {
 				if f := float64(b); f >= loF && f <= hiF {
-					inBand(bucket)
+					scan(bucket, bandLo, bandHi)
 				}
 			}
 		}
-		e.stats.FilteredByDensity += int64(len(e.tree.list)-1) - examined
+		e.stats.FilteredByDensity += filtered + int64(len(e.tree.list)-1) - examined
 	} else {
+		// Every active cell, in list order, as entries of one bucket.
+		all := e.everyCell[:0]
 		for _, o := range e.tree.list {
-			if o != c {
-				examine(o)
-			}
+			all = append(all, densEntry{logNorm: o.logNorm, delta: o.delta, cell: o, slot: o.slot, col: o.col})
 		}
+		scan(all, math.Inf(-1), math.Inf(1))
+		clear(all)
+		e.everyCell = all[:0]
 	}
 
 	// c's own dependency: absorbing only raises c's decay-normalized
@@ -702,11 +735,11 @@ func (e *EDMStream) sweep(now float64) {
 		if b > hiBucket {
 			continue
 		}
-		for _, c := range bucket {
-			if c.logNorm < key-logBandSlack {
-				demote = append(demote, c)
-			} else if c.logNorm < key+logBandSlack && c.Density(now, e.cfg.Decay) < threshold {
-				demote = append(demote, c)
+		for _, en := range bucket {
+			if en.logNorm < key-logBandSlack {
+				demote = append(demote, en.cell)
+			} else if en.logNorm < key+logBandSlack && en.cell.Density(now, e.cfg.Decay) < threshold {
+				demote = append(demote, en.cell)
 			}
 		}
 	}
@@ -793,16 +826,16 @@ func (e *EDMStream) finalizeInit(now float64) {
 	e.refreshClustering(now)
 }
 
-// sortedCells returns every cached cell ordered by ID. The slab is
-// ID-indexed, so the order falls out of a linear walk; the returned
+// sortedCells returns every cached cell ordered by ID. The returned
 // slice is scratch owned by the engine and valid until the next call.
 func (e *EDMStream) sortedCells() []*Cell {
 	cells := e.ordered[:0]
-	for _, c := range e.cells.byID {
+	for _, c := range e.cells.bySlot {
 		if c != nil {
 			cells = append(cells, c)
 		}
 	}
+	slices.SortFunc(cells, func(a, b *Cell) int { return cmp.Compare(a.id, b.id) })
 	e.ordered = cells[:0]
 	return cells
 }
@@ -820,9 +853,9 @@ func (e *EDMStream) initialDecisionGraph(now float64) ([]DecisionPoint, []float6
 	for _, c := range cells {
 		best := math.Inf(1)
 		if e.seedIdx != nil {
-			cid := c.id
-			if _, d, ok := e.seedIdx.NearestWhere(c.seed, func(id int64) bool {
-				return id != cid && e.tree.outranks(e.cells.get(id), c, now)
+			if _, d, ok := e.seedIdx.NearestWhere(c.seed, func(slot int32) bool {
+				o := e.cells.at(slot)
+				return o != c && e.tree.outranks(o, c, now)
 			}); ok {
 				best = d
 			}
@@ -1177,13 +1210,14 @@ func (e *EDMStream) CheckInvariants() error {
 		return fmt.Errorf("core: invariant violation: %s", msg)
 	}
 	live := 0
-	for id, c := range e.cells.byID {
+	for slot, c := range e.cells.bySlot {
 		if c == nil {
 			continue
 		}
 		live++
-		if c.id != int64(id) {
-			return fmt.Errorf("core: cell slab slot %d holds cell id %d", id, c.id)
+		id := c.id
+		if c.slot != int32(slot) {
+			return fmt.Errorf("core: cell slab slot %d holds cell %d addressed as slot %d", slot, id, c.slot)
 		}
 		if c.active {
 			if c.treeIdx < 0 || c.treeIdx >= len(e.tree.list) || e.tree.list[c.treeIdx] != c {
@@ -1195,8 +1229,9 @@ func (e *EDMStream) CheckInvariants() error {
 			}
 		}
 	}
-	if live != e.cells.len() {
-		return fmt.Errorf("core: cell slab count %d does not match live slots %d", e.cells.len(), live)
+	if live != e.cells.len() || live+len(e.cells.free) != len(e.cells.bySlot) {
+		return fmt.Errorf("core: cell slab count %d, free slots %d and live slots %d of %d disagree",
+			e.cells.len(), len(e.cells.free), live, len(e.cells.bySlot))
 	}
 	if e.tree.size()+e.res.size() != e.cells.len() {
 		return fmt.Errorf("core: tree (%d) + reservoir (%d) != total cells (%d)", e.tree.size(), e.res.size(), e.cells.len())

@@ -22,6 +22,9 @@ func equivRun(t *testing.T, cfg Config, pts []stream.Point, snapEvery int) (*EDM
 		if err := e.Insert(pts[i]); err != nil {
 			t.Fatalf("%v: Insert(point %d): %v", cfg.IndexPolicy, i, err)
 		}
+		if err := checkOracleAt(e, i, i+1); err != nil {
+			t.Fatalf("%v, after point %d: %v", cfg.IndexPolicy, i+1, err)
+		}
 		if snapEvery > 0 && (i+1)%snapEvery == 0 {
 			snaps = append(snaps, e.Snapshot())
 		}
@@ -77,12 +80,9 @@ func compareCells(t *testing.T, grid, linear *EDMStream) {
 	if grid.cells.len() != linear.cells.len() {
 		t.Fatalf("cell counts differ: grid %d, linear %d", grid.cells.len(), linear.cells.len())
 	}
-	for _, gc := range grid.cells.byID {
-		if gc == nil {
-			continue
-		}
+	for _, gc := range grid.sortedCells() {
 		id := gc.id
-		lc := linear.cells.get(id)
+		lc := cellByID(linear, id)
 		if lc == nil {
 			t.Fatalf("cell %d exists only in the grid run", id)
 		}
@@ -107,6 +107,16 @@ func compareCells(t *testing.T, grid, linear *EDMStream) {
 				id, gdep, gc.delta, ldep, lc.delta)
 		}
 	}
+}
+
+// cellByID returns e's live cell with the given ID, or nil.
+func cellByID(e *EDMStream, id int64) *Cell {
+	for _, c := range e.cells.bySlot {
+		if c != nil && c.id == id {
+			return c
+		}
+	}
+	return nil
 }
 
 // compareEvents asserts two evolution logs are identical.

@@ -1,45 +1,49 @@
 package core
 
-// cellSlab indexes every live cluster-cell (active and inactive) by
-// ID. Cell IDs are allocated monotonically and never reused, so the
-// slab is a dense ID-indexed slice: resolving the cell behind an index
-// candidate is a bounds check and a slice load instead of a map
-// lookup, which matters on the per-point hot path where every probed
-// seed candidate and dependency-filter hit resolves a cell.
+// cellSlab holds every live cluster-cell (active and inactive) by
+// slot: a small int32 the cell keeps for its lifetime, taken from a
+// free list when the cell is created and returned to it when the cell
+// is deleted. Resolving the cell behind an index candidate is a bounds
+// check and a slice load, and storage is bounded by the peak number of
+// live cells, not by the number of cells ever created.
 //
-// Deleted IDs leave nil holes. The holes cost one pointer per cell
-// ever created — negligible next to the cells themselves, and the
-// price of keeping IDs stable (IDs appear in snapshots and break
-// distance ties, so reusing them would change clustering output).
+// Slots are never observable: cell IDs still grow monotonically, break
+// distance ties and name cells in snapshots and checkpoints, so reusing
+// a slot cannot change clustering output.
 type cellSlab struct {
-	byID []*Cell
-	n    int
+	bySlot []*Cell
+	free   []int32
+	n      int
 }
 
-// get returns the cell with the given ID, or nil when no such live
-// cell exists.
-func (s *cellSlab) get(id int64) *Cell {
-	if id < 0 || id >= int64(len(s.byID)) {
-		return nil
-	}
-	return s.byID[id]
+// at returns the cell in slot s.
+func (s *cellSlab) at(slot int32) *Cell { return s.bySlot[slot] }
+
+// live reports whether c is registered (it has not been deleted).
+func (s *cellSlab) live(c *Cell) bool {
+	return int(c.slot) < len(s.bySlot) && s.bySlot[c.slot] == c
 }
 
-// put registers a cell under its ID, growing the slab as needed.
+// put registers a cell, assigning it a slot.
 func (s *cellSlab) put(c *Cell) {
-	for int64(len(s.byID)) <= c.id {
-		s.byID = append(s.byID, nil)
+	if n := len(s.free); n > 0 {
+		c.slot = s.free[n-1]
+		s.free = s.free[:n-1]
+		s.bySlot[c.slot] = c
+	} else {
+		c.slot = int32(len(s.bySlot))
+		s.bySlot = append(s.bySlot, c)
 	}
-	s.byID[c.id] = c
 	s.n++
 }
 
-// remove deletes the cell with the given ID, leaving a nil hole.
-func (s *cellSlab) remove(id int64) {
-	if s.get(id) == nil {
+// remove unregisters c and frees its slot.
+func (s *cellSlab) remove(c *Cell) {
+	if !s.live(c) {
 		return
 	}
-	s.byID[id] = nil
+	s.bySlot[c.slot] = nil
+	s.free = append(s.free, c.slot)
 	s.n--
 }
 

@@ -200,3 +200,27 @@ func (f *Frozen) assignTokens(tokens distance.TokenSet) (int, bool) {
 	}
 	return bestCluster, found
 }
+
+// hashCoords mixes bucket coordinates into a 64-bit hash (FNV-1a over
+// the coordinate words). Collisions are legal — a colliding far seed
+// fails the radius check — they only cost a longer bucket scan.
+func hashCoords(coords []int64) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range coords {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
+}
+
+// windowExceeds reports whether width^d > cap, without overflowing.
+func windowExceeds(width int64, d, cap int) bool {
+	prod := int64(1)
+	for i := 0; i < d; i++ {
+		prod *= width
+		if prod > int64(cap) {
+			return true
+		}
+	}
+	return false
+}

@@ -2,83 +2,150 @@ package index
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"github.com/densitymountain/edmstream/internal/distance"
 	"github.com/densitymountain/edmstream/internal/stream"
 )
 
+// Seeds is a slot-addressed column of seed vectors: row s of one
+// row-major []float64 holds the vector of the seed in slot s. The
+// engine that owns it allocates the slots (reusing freed ones), writes
+// each new seed's row before indexing it, and hands the grid the same
+// column, so probes and dependency checks read candidate vectors from
+// one contiguous block instead of one allocation per seed. The first
+// Put fixes the row width; a vector of any other width gets no row.
+type Seeds struct {
+	dim   int
+	fixed bool
+	vals  []float64
+}
+
+// Dim returns the row width, or -1 before the first Put.
+func (s *Seeds) Dim() int {
+	if !s.fixed {
+		return -1
+	}
+	return s.dim
+}
+
+// Put stores vec as slot's row and reports whether it did: a nil
+// vector, or one whose length differs from the row width, has no row.
+func (s *Seeds) Put(slot int32, vec []float64) bool {
+	if vec == nil {
+		return false
+	}
+	if !s.fixed {
+		s.dim, s.fixed = len(vec), true
+	}
+	if len(vec) != s.dim {
+		return false
+	}
+	end := (int(slot) + 1) * s.dim
+	if end > len(s.vals) {
+		s.vals = slices.Grow(s.vals, end-len(s.vals))[:end]
+	}
+	copy(s.vals[end-s.dim:end], vec)
+	return true
+}
+
+// Row returns slot's row. It aliases the column and stays valid until
+// the next Put.
+func (s *Seeds) Row(slot int32) []float64 {
+	i := int(slot) * s.dim
+	return s.vals[i : i+s.dim : i+s.dim]
+}
+
 // Grid is a uniform spatial hash over seed coordinates. Space is
 // partitioned into axis-aligned buckets of side `side` (the
-// cluster-cell radius r), and only non-empty buckets are materialized,
-// so memory is proportional to the number of seeds. A radius-r
-// nearest-seed probe then touches at most the 3^d buckets neighboring
-// the query point's bucket, and an unbounded nearest search expands
-// bucket shells outward until no closer seed can exist.
+// cluster-cell radius r). A radius-r nearest-seed probe touches the
+// 3^d buckets neighboring the query point's bucket, and an unbounded
+// nearest search expands bucket shells outward until no closer seed
+// can exist.
 //
-// The grid only buckets numeric (Euclidean) seeds. Token-set seeds of
-// degenerate mixed streams live in a side set: they are at +Inf
-// distance from every numeric probe (so they never answer one), and
-// token-set probes scan the side set linearly — exactly the answers
-// the linear scan would give, keeping the index choice invisible in
-// the clustering output even on mixed streams.
+// Buckets are grouped into tiles of T^d ≤ 64 buckets, T = ⌊64^{1/d}⌋
+// per axis (a power of two for every d; 1 beyond d = 6). Only occupied
+// tiles exist, keyed by tile coordinates in one open-addressing table.
+// A tile holds a uint64 occupancy mask, one bit per bucket, and the
+// chain heads of its occupied buckets only, ranked by popcount; a
+// bucket's seeds are chained through a per-slot next column. A box
+// walk looks up the tiles the box intersects and visits only the set
+// bits of the box's mask, so an empty bucket costs a bit test, not a
+// hash probe, and memory grows with occupied buckets.
+//
+// The grid only buckets seeds whose vector has the seed column's row
+// width. Token-set seeds of degenerate mixed streams live in a side
+// set: they are at +Inf distance from every numeric probe (so they
+// never answer one), and token-set probes scan the side set linearly —
+// exactly the answers the linear scan would give, keeping the index
+// choice invisible in the clustering output even on mixed streams.
 type Grid struct {
-	side float64
-	// buckets maps the hash of a bucket's integer coordinates to a
-	// chain of buckets with that hash (collisions are resolved by
-	// comparing coordinates exactly, so hashing is purely a lookup
-	// accelerator — no string keys, no per-lookup formatting).
-	buckets    map[uint64]*gridBucket
-	nbuckets   int
-	vectorless map[int64]stream.Point
-	n          int
-	// Probe scratch, reused across calls so the per-point hot path
-	// does not allocate: centerBuf holds the query's bucket
-	// coordinates, loBuf/hiBuf the per-axis window bounds, and
-	// offBuf/coordBuf the box walker's cursor. They never overlap: a
-	// probe uses centerBuf for its whole duration, window/shell
-	// enumeration uses loBuf/hiBuf, and forBox (called beneath both)
-	// uses offBuf/coordBuf.
-	centerBuf, loBuf, hiBuf, offBuf, coordBuf []int64
+	side  float64
+	seeds *Seeds
+	n     int
+	// ids holds the cell ID per slot (distance ties break toward the
+	// lowest ID) and next the slot chained after it in its bucket (-1
+	// ends the chain).
+	ids  []int64
+	next []int32
+	// loose is the side set of seeds the grid does not bucket.
+	loose map[int32]stream.Point
 
-	// Window cache: consecutive probes from the same bucket (bursty
-	// streams) reuse the occupied-bucket set of the previous probe
-	// instead of re-walking the (2m+1)^d window through the bucket map.
-	// gen is bumped by every Insert/Remove, which is exactly when the
-	// occupied-bucket set can change, so a hit is always exact.
-	gen, winGen uint64
-	winM        int64
-	winCenter   []int64
-	winBuckets  []*gridBucket
-	winValid    bool
+	// Tile geometry, fixed by the first bucketed seed: dim axes, tiles
+	// of side 1<<shift, prefix[a*(tside+1)+c] the mask of the tile bits
+	// whose axis-a coordinate is below c, full the mask of every bit.
+	geo    bool
+	dim    int
+	shift  uint
+	tside  int64
+	prefix []uint64
+	full   uint64
+
+	// table maps tile coordinates to tile index + 1 (0 = empty slot)
+	// by linear probing; keys holds dim coordinates per tile index.
+	// Emptied tiles return to freeTiles.
+	table     []int32
+	keys      []int64
+	tiles     []tile
+	freeTiles []int32
+	ntiles    int
+	nbuckets  int
+
+	// Probe scratch, reused across calls so the per-point hot path does
+	// not allocate: one block of dim-sized rows (see setGeometry), the
+	// tiles a box walk finds, the bucket chain heads it collects and the
+	// tiles an unbounded search has pending.
+	center, lo, hi, tlo, thi, flo, fhi, blo, bhi, cur []int64
+	found, hits                                       []int32
+	pend                                              []pending
 }
 
-type gridBucket struct {
-	coords  []int64
-	entries []gridEntry
-	// next chains buckets whose coordinate hashes collide.
-	next *gridBucket
+// pending is a tile an unbounded search has reached, with the mask of
+// its occupied buckets no shell has visited yet.
+type pending struct {
+	ti   int32
+	mask uint64
 }
 
-type gridEntry struct {
-	id  int64
-	vec []float64
+// tile is one group of up to 64 buckets: bit b of mask is set when
+// bucket b is occupied, and heads holds the occupied buckets' chain
+// heads in bit order.
+type tile struct {
+	mask  uint64
+	heads []int32
 }
 
 // NewGrid creates an empty grid with the given bucket side length,
-// which must be positive. It should equal the radius used for
-// NearestWithin probes: probes with r ≤ side stay within the 3^d
-// neighborhood; larger radii widen the probe window proportionally.
-func NewGrid(side float64) *Grid {
+// which must be positive, reading seed vectors from seeds. The side
+// should equal the radius used for NearestWithin probes: probes with
+// r ≤ side stay within the 3^d neighborhood; larger radii widen the
+// probe window proportionally.
+func NewGrid(side float64, seeds *Seeds) *Grid {
 	if !(side > 0) {
 		panic("index: grid bucket side must be positive")
 	}
-	g := &Grid{
-		side:       side,
-		buckets:    make(map[uint64]*gridBucket),
-		vectorless: make(map[int64]stream.Point),
-	}
-	return g
+	return &Grid{side: side, seeds: seeds, loose: make(map[int32]stream.Point)}
 }
 
 // Len implements SeedIndex.
@@ -87,400 +154,527 @@ func (g *Grid) Len() int { return g.n }
 // Kind implements SeedIndex.
 func (g *Grid) Kind() string { return "grid" }
 
-// coordsOf quantizes a vector to integer bucket coordinates, writing
-// them into the grid's center scratch buffer (valid until the next
-// coordsOf call).
-func (g *Grid) coordsOf(vec []float64) []int64 {
-	coords := g.centerBuf[:0]
-	for _, v := range vec {
-		coords = append(coords, int64(math.Floor(v/g.side)))
+// setGeometry fixes the tile layout for dim-dimensional seeds.
+func (g *Grid) setGeometry(dim int) {
+	g.geo, g.dim = true, dim
+	g.shift, g.tside = 0, 1
+	for dim > 0 {
+		wider := int64(1)
+		for i := 0; i < dim && wider <= 64; i++ {
+			wider *= 2 * g.tside
+		}
+		if wider > 64 {
+			break
+		}
+		g.shift++
+		g.tside *= 2
 	}
-	g.centerBuf = coords
-	return coords
+	nbits := 1
+	for i := 0; i < dim; i++ {
+		nbits *= int(g.tside)
+	}
+	g.full = ^uint64(0) >> (64 - nbits)
+	w := g.tside + 1
+	g.prefix = make([]uint64, int64(dim)*w)
+	for a := 0; a < dim; a++ {
+		for b := 0; b < nbits; b++ {
+			coord := (int64(b) >> (uint(a) * g.shift)) & (g.tside - 1)
+			for c := coord + 1; c <= g.tside; c++ {
+				g.prefix[int64(a)*w+c] |= 1 << b
+			}
+		}
+	}
+	rows := []*[]int64{&g.center, &g.lo, &g.hi, &g.tlo, &g.thi, &g.flo, &g.fhi, &g.blo, &g.bhi, &g.cur}
+	scratch := make([]int64, len(rows)*dim)
+	for i, r := range rows {
+		*r = scratch[i*dim : (i+1)*dim : (i+1)*dim]
+	}
 }
 
-// hashCoords mixes bucket coordinates into a 64-bit hash (FNV-1a over
-// the coordinate words). Collisions are legal — lookup compares
-// coordinates exactly — they only cost a chain hop.
-func hashCoords(coords []int64) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range coords {
-		h ^= uint64(c)
-		h *= 1099511628211
+// bucketed reports whether p's seed lives in a bucket rather than the
+// side set.
+func (g *Grid) bucketed(p stream.Point) bool {
+	return g.geo && p.Vector != nil && len(p.Vector) == g.dim
+}
+
+// coordsOf quantizes a vector to integer bucket coordinates in the
+// center scratch row (valid until the next coordsOf call).
+func (g *Grid) coordsOf(vec []float64) []int64 {
+	for i, v := range vec {
+		g.center[i] = int64(math.Floor(v / g.side))
+	}
+	return g.center
+}
+
+// locate returns the tile coordinates (in the cur scratch row) and the
+// tile bit of the bucket at coords.
+func (g *Grid) locate(coords []int64) ([]int64, uint) {
+	var bit uint
+	for a, c := range coords {
+		g.cur[a] = c >> g.shift
+		bit |= uint(c&(g.tside-1)) << (uint(a) * g.shift)
+	}
+	return g.cur, bit
+}
+
+// hashKey mixes tile coordinates into a table position.
+func hashKey(key []int64) uint64 {
+	h := uint64(0x9E3779B97F4A7C15)
+	for _, c := range key {
+		h = (h ^ uint64(c)) * 0xBF58476D1CE4E5B9
+		h ^= h >> 31
 	}
 	return h
 }
 
-// lookup returns the occupied bucket at coords, or nil.
-func (g *Grid) lookup(coords []int64) (*gridBucket, bool) {
-	for b := g.buckets[hashCoords(coords)]; b != nil; b = b.next {
-		if slices.Equal(b.coords, coords) {
-			return b, true
-		}
-	}
-	return nil, false
+// keyOf returns tile ti's coordinates.
+func (g *Grid) keyOf(ti int32) []int64 {
+	i := int(ti) * g.dim
+	return g.keys[i : i+g.dim : i+g.dim]
 }
 
-// forAllBuckets invokes fn for every occupied bucket (chains
-// included). It backs the direct-scan fallbacks of sparse or
-// high-dimensional probes.
-func (g *Grid) forAllBuckets(fn func(*gridBucket)) {
-	for _, b := range g.buckets {
-		for ; b != nil; b = b.next {
-			fn(b)
+// lookup returns the index of the occupied tile at key, or -1.
+func (g *Grid) lookup(key []int64) int32 {
+	if len(g.table) == 0 {
+		return -1
+	}
+	mask := uint64(len(g.table) - 1)
+	for i := hashKey(key) & mask; ; i = (i + 1) & mask {
+		t := g.table[i]
+		if t == 0 {
+			return -1
+		}
+		if slices.Equal(g.keyOf(t-1), key) {
+			return t - 1
 		}
 	}
 }
 
-// Insert implements SeedIndex.
-func (g *Grid) Insert(id int64, p stream.Point) {
-	g.gen++
-	if p.Vector == nil {
-		g.vectorless[id] = p
-		g.n++
+// place files tile ti in the table (its key must be absent).
+func (g *Grid) place(ti int32) {
+	mask := uint64(len(g.table) - 1)
+	i := hashKey(g.keyOf(ti)) & mask
+	for g.table[i] != 0 {
+		i = (i + 1) & mask
+	}
+	g.table[i] = ti + 1
+}
+
+// newTile creates an empty tile at key and returns its index.
+func (g *Grid) newTile(key []int64) int32 {
+	var ti int32
+	if n := len(g.freeTiles); n > 0 {
+		ti = g.freeTiles[n-1]
+		g.freeTiles = g.freeTiles[:n-1]
+		copy(g.keyOf(ti), key)
+	} else {
+		ti = int32(len(g.tiles))
+		g.tiles = append(g.tiles, tile{})
+		g.keys = append(g.keys, key...)
+	}
+	g.ntiles++
+	if 2*g.ntiles > len(g.table) {
+		old := g.table
+		g.table = make([]int32, max(16, 2*len(old)))
+		for _, t := range old {
+			if t != 0 {
+				g.place(t - 1)
+			}
+		}
+	}
+	g.place(ti)
+	return ti
+}
+
+// dropTile removes the emptied tile ti from the table (backward-shift
+// deletion, so probe chains stay unbroken without tombstones).
+func (g *Grid) dropTile(ti int32) {
+	mask := uint64(len(g.table) - 1)
+	i := hashKey(g.keyOf(ti)) & mask
+	for g.table[i] != ti+1 {
+		i = (i + 1) & mask
+	}
+	for j := i; ; {
+		g.table[i] = 0
+		for {
+			j = (j + 1) & mask
+			t := g.table[j]
+			if t == 0 {
+				g.ntiles--
+				g.freeTiles = append(g.freeTiles, ti)
+				return
+			}
+			// The entry at j may move into the hole at i unless its home
+			// position lies cyclically in (i, j].
+			home := hashKey(g.keyOf(t-1)) & mask
+			if (j-home)&mask >= (j-i)&mask {
+				g.table[i] = t
+				i = j
+				break
+			}
+		}
+	}
+}
+
+// setSlot records slot's cell ID, growing the per-slot columns.
+func (g *Grid) setSlot(slot int32, id int64) {
+	for int(slot) >= len(g.ids) {
+		g.ids = append(g.ids, 0)
+		g.next = append(g.next, -1)
+	}
+	g.ids[slot] = id
+}
+
+// Insert implements SeedIndex. A bucketed seed's vector must already
+// be stored as slot's row of the grid's seed column.
+func (g *Grid) Insert(slot int32, id int64, p stream.Point) {
+	g.setSlot(slot, id)
+	g.n++
+	if !g.geo && p.Vector != nil && g.seeds.Dim() == len(p.Vector) {
+		g.setGeometry(len(p.Vector))
+	}
+	if !g.bucketed(p) {
+		g.loose[slot] = p
 		return
 	}
-	coords := g.coordsOf(p.Vector)
-	b, ok := g.lookup(coords)
-	if !ok {
-		// The bucket owns its coordinates: coords is scratch space.
-		owned := append([]int64(nil), coords...)
-		h := hashCoords(owned)
-		b = &gridBucket{coords: owned, next: g.buckets[h]}
-		g.buckets[h] = b
-		g.nbuckets++
+	key, bit := g.locate(g.coordsOf(p.Vector))
+	ti := g.lookup(key)
+	if ti < 0 {
+		ti = g.newTile(key)
 	}
-	b.entries = append(b.entries, gridEntry{id: id, vec: p.Vector})
-	g.n++
+	t := &g.tiles[ti]
+	rank := bits.OnesCount64(t.mask & (1<<bit - 1))
+	if t.mask&(1<<bit) == 0 {
+		t.mask |= 1 << bit
+		t.heads = slices.Insert(t.heads, rank, slot)
+		g.next[slot] = -1
+		g.nbuckets++
+		return
+	}
+	g.next[slot] = t.heads[rank]
+	t.heads[rank] = slot
 }
 
 // Remove implements SeedIndex.
-func (g *Grid) Remove(id int64, p stream.Point) {
-	g.gen++
-	if p.Vector == nil {
-		if _, ok := g.vectorless[id]; ok {
-			delete(g.vectorless, id)
-			g.n--
-		}
+func (g *Grid) Remove(slot int32, p stream.Point) {
+	if _, ok := g.loose[slot]; ok {
+		delete(g.loose, slot)
+		g.n--
 		return
 	}
-	coords := g.coordsOf(p.Vector)
-	b, ok := g.lookup(coords)
-	if !ok {
+	if !g.bucketed(p) {
 		return
 	}
-	for i := range b.entries {
-		if b.entries[i].id == id {
-			last := len(b.entries) - 1
-			b.entries[i] = b.entries[last]
-			b.entries = b.entries[:last]
-			if len(b.entries) == 0 {
-				g.unlinkBucket(b)
-			}
-			g.n--
-			return
-		}
+	key, bit := g.locate(g.coordsOf(p.Vector))
+	ti := g.lookup(key)
+	if ti < 0 || g.tiles[ti].mask&(1<<bit) == 0 {
+		return
 	}
-}
-
-// unlinkBucket removes an emptied bucket from its hash chain.
-func (g *Grid) unlinkBucket(b *gridBucket) {
-	h := hashCoords(b.coords)
-	cur := g.buckets[h]
-	if cur == b {
-		if b.next == nil {
-			delete(g.buckets, h)
-		} else {
-			g.buckets[h] = b.next
-		}
+	t := &g.tiles[ti]
+	rank := bits.OnesCount64(t.mask & (1<<bit - 1))
+	if t.heads[rank] == slot {
+		t.heads[rank] = g.next[slot]
 	} else {
-		for ; cur != nil && cur.next != b; cur = cur.next {
+		prev := t.heads[rank]
+		for prev >= 0 && g.next[prev] != slot {
+			prev = g.next[prev]
 		}
-		if cur == nil {
+		if prev < 0 {
 			return
 		}
-		cur.next = b.next
+		g.next[prev] = g.next[slot]
 	}
-	b.next = nil
+	g.n--
+	if t.heads[rank] >= 0 {
+		return
+	}
+	t.heads = slices.Delete(t.heads, rank, rank+1)
+	t.mask &^= 1 << bit
 	g.nbuckets--
+	if t.mask == 0 {
+		g.dropTile(ti)
+	}
 }
 
-// NearestWithin implements SeedIndex. It probes the (2m+1)^d buckets
-// with m = ceil(r/side) around the query — the 3^d neighborhood in the
-// standard r == side configuration — or, when that enumeration would
-// exceed the number of occupied buckets (high d, few cells), scans the
-// occupied buckets directly and filters by Chebyshev bucket distance.
-func (g *Grid) NearestWithin(p stream.Point, r float64, onDist func(id int64, d float64)) (int64, float64, bool) {
-	if p.Vector == nil {
-		// A token-set probe can only match the vectorless side set
-		// (numeric seeds are at +Inf from it, as in the linear scan).
-		return g.scanVectorless(p, r, onDist)
+// NearestWithin implements SeedIndex. It scans the occupied buckets
+// within Chebyshev bucket distance m = ceil(r/side) of the query's
+// bucket — the 3^d neighborhood in the standard r == side
+// configuration.
+func (g *Grid) NearestWithin(p stream.Point, r float64, onDist func(slot int32, d float64)) (int32, float64, bool) {
+	if !g.bucketed(p) {
+		return g.withinLoose(p, r, onDist)
 	}
 	if g.nbuckets == 0 {
 		return 0, 0, false
 	}
 	center := g.coordsOf(p.Vector)
-	var bestID int64
-	bestDist := math.Inf(1)
-	found := false
-	scan := func(b *gridBucket) {
-		for i := range b.entries {
-			en := &b.entries[i]
-			d := distance.Euclid(en.vec, p.Vector)
-			if onDist != nil {
-				onDist(en.id, d)
+	m := int64(math.Ceil(r / g.side))
+	for a, c := range center {
+		g.lo[a], g.hi[a] = c-m, c+m
+	}
+	g.hits = g.hits[:0]
+	if g.span() > int64(g.ntiles) {
+		for ti := range g.tiles {
+			if g.tiles[ti].mask != 0 {
+				g.collect(int32(ti), g.boxMask(int32(ti), g.lo, g.hi))
 			}
-			if d <= r && (d < bestDist || (d == bestDist && en.id < bestID)) {
-				bestID, bestDist, found = en.id, d, true
-			}
+		}
+	} else {
+		g.found = g.found[:0]
+		g.tilesIn(false)
+		for _, ti := range g.found {
+			g.collect(ti, g.boxMask(ti, g.lo, g.hi))
 		}
 	}
-	m := int64(math.Ceil(r / g.side))
-	switch {
-	case windowExceeds(2*m+1, len(center), g.nbuckets):
-		g.forAllBuckets(func(b *gridBucket) {
-			if chebyshev(b.coords, center) <= m {
-				scan(b)
+	var best int32
+	bestDist := math.Inf(1)
+	found := false
+	for _, s := range g.hits {
+		for ; s >= 0; s = g.next[s] {
+			d := distance.Euclid(g.seeds.Row(s), p.Vector)
+			if onDist != nil {
+				onDist(s, d)
 			}
-		})
-	case g.winValid && g.winGen == g.gen && g.winM == m && slices.Equal(g.winCenter, center):
-		// Same bucket as the previous probe and no membership change
-		// since: the cached occupied-bucket window is exact.
-		for _, b := range g.winBuckets {
-			scan(b)
+			if d <= r && (d < bestDist || (d == bestDist && found && g.ids[s] < g.ids[best])) {
+				best, bestDist, found = s, d, true
+			}
 		}
-	default:
-		g.winBuckets = g.winBuckets[:0]
-		g.forWindowBuckets(center, m, func(b *gridBucket) {
-			g.winBuckets = append(g.winBuckets, b)
-			scan(b)
-		})
-		g.winCenter = append(g.winCenter[:0], center...)
-		g.winM, g.winGen, g.winValid = m, g.gen, true
 	}
 	if !found {
 		return 0, 0, false
 	}
-	return bestID, bestDist, true
+	return best, bestDist, true
 }
 
 // NearestWhere implements SeedIndex with an expanding-shell search:
 // shell k holds the buckets at Chebyshev bucket distance exactly k
 // from the query's bucket, and every seed in shell k is strictly
 // farther than (k−1)·side, so the search can stop as soon as the
-// current best distance rules the next shell out. When enumerating a
-// shell would cost more than scanning the occupied buckets directly
-// (sparse or high-dimensional grids), it falls back to one exact
-// direct scan of the not-yet-visited buckets.
-func (g *Grid) NearestWhere(p stream.Point, pred func(id int64) bool) (int64, float64, bool) {
-	if p.Vector == nil {
-		var bestID int64
-		bestDist := math.Inf(1)
-		found := false
-		for id, q := range g.vectorless {
-			if pred != nil && !pred(id) {
-				continue
-			}
-			d := q.Distance(p)
-			if math.IsInf(d, 1) {
-				continue
-			}
-			if d < bestDist || (d == bestDist && id < bestID) {
-				bestID, bestDist, found = id, d, true
-			}
-		}
-		if !found {
-			return 0, 0, false
-		}
-		return bestID, bestDist, true
+// current best distance rules the next shell out. Each tile is looked
+// up once, when the shells first reach it, and then stays pending
+// with the mask of its buckets no shell has visited yet. When the
+// tiles a shell's box spans outnumber the occupied tiles (sparse or
+// high-dimensional grids), it scans every not-yet-visited bucket
+// directly instead and stops.
+func (g *Grid) NearestWhere(p stream.Point, pred func(slot int32) bool) (int32, float64, bool) {
+	if !g.bucketed(p) {
+		return g.whereLoose(p, pred)
 	}
 	if g.nbuckets == 0 {
 		return 0, 0, false
 	}
 	center := g.coordsOf(p.Vector)
-	var bestID int64
+	var best int32
 	bestDist := math.Inf(1)
 	found := false
-	scan := func(b *gridBucket) {
-		for i := range b.entries {
-			en := &b.entries[i]
-			if pred != nil && !pred(en.id) {
-				continue
-			}
-			d := distance.Euclid(en.vec, p.Vector)
-			if d < bestDist || (d == bestDist && found && en.id < bestID) {
-				bestID, bestDist, found = en.id, d, true
-			}
-		}
-	}
 	visited := 0
-	for k := int64(0); ; k++ {
-		if visited >= g.nbuckets {
-			break
-		}
+	pend := g.pend[:0]
+	for k := int64(0); visited < g.nbuckets; k++ {
 		if found && float64(k-1)*g.side >= bestDist {
 			break
 		}
-		if windowExceeds(2*k+1, len(center), g.nbuckets) {
-			g.forAllBuckets(func(b *gridBucket) {
-				if chebyshev(b.coords, center) >= k {
-					scan(b)
+		for a, c := range center {
+			g.lo[a], g.hi[a] = c-k, c+k
+		}
+		g.hits = g.hits[:0]
+		rest := g.span() > int64(g.ntiles)
+		if rest {
+			// Every bucket outside shells 0..k−1 is left: scan them all.
+			for a, c := range center {
+				g.lo[a], g.hi[a] = c-k+1, c+k-1
+			}
+			for ti := range g.tiles {
+				if m := g.tiles[ti].mask; m != 0 {
+					if k > 0 {
+						m &^= g.boxMask(int32(ti), g.lo, g.hi)
+					}
+					g.collect(int32(ti), m)
 				}
-			})
+			}
+		} else {
+			// Look up the tiles this shell reaches first: the tile box
+			// minus the previous shell's tile box (kept in flo/fhi).
+			g.found = g.found[:0]
+			g.tilesIn(k > 0)
+			for _, ti := range g.found {
+				pend = append(pend, pending{ti: ti, mask: g.tiles[ti].mask})
+			}
+			copy(g.flo, g.tlo)
+			copy(g.fhi, g.thi)
+			for i := 0; i < len(pend); {
+				pt := &pend[i]
+				m := pt.mask & g.boxMask(pt.ti, g.lo, g.hi)
+				g.collect(pt.ti, m)
+				if pt.mask &^= m; pt.mask != 0 {
+					i++
+					continue
+				}
+				pend[i] = pend[len(pend)-1]
+				pend = pend[:len(pend)-1]
+			}
+		}
+		visited += len(g.hits)
+		for _, s := range g.hits {
+			for ; s >= 0; s = g.next[s] {
+				if pred != nil && !pred(s) {
+					continue
+				}
+				d := distance.Euclid(g.seeds.Row(s), p.Vector)
+				if d < bestDist || (d == bestDist && found && g.ids[s] < g.ids[best]) {
+					best, bestDist, found = s, d, true
+				}
+			}
+		}
+		if rest {
 			break
 		}
-		g.forShellBuckets(center, k, func(b *gridBucket) {
-			visited++
-			scan(b)
-		})
 	}
+	g.pend = pend[:0]
 	if !found {
 		return 0, 0, false
 	}
-	return bestID, bestDist, true
+	return best, bestDist, true
 }
 
-// scanVectorless answers a radius-bounded probe against the vectorless
-// side set, reporting every measured distance through onDist like the
-// main probe path does.
-func (g *Grid) scanVectorless(p stream.Point, r float64, onDist func(id int64, d float64)) (int64, float64, bool) {
-	var bestID int64
+// withinLoose answers a radius-bounded probe against the side set,
+// reporting every measured distance through onDist like the bucket
+// path does.
+func (g *Grid) withinLoose(p stream.Point, r float64, onDist func(slot int32, d float64)) (int32, float64, bool) {
+	var best int32
 	bestDist := math.Inf(1)
 	found := false
-	for id, q := range g.vectorless {
+	for s, q := range g.loose {
 		d := q.Distance(p)
 		if onDist != nil {
-			onDist(id, d)
+			onDist(s, d)
 		}
-		if d <= r && (d < bestDist || (d == bestDist && id < bestID)) {
-			bestID, bestDist, found = id, d, true
+		if d <= r && (d < bestDist || (d == bestDist && found && g.ids[s] < g.ids[best])) {
+			best, bestDist, found = s, d, true
 		}
 	}
 	if !found {
 		return 0, 0, false
 	}
-	return bestID, bestDist, true
+	return best, bestDist, true
 }
 
-// resizeScratch returns buf resized to d elements, reallocating only
-// when the capacity grew (contents are overwritten by the caller).
-func resizeScratch(buf []int64, d int) []int64 {
-	if cap(buf) < d {
-		return make([]int64, d)
-	}
-	return buf[:d]
-}
-
-// forWindowBuckets invokes fn for every occupied bucket whose
-// coordinates are within Chebyshev distance m of center.
-func (g *Grid) forWindowBuckets(center []int64, m int64, fn func(*gridBucket)) {
-	d := len(center)
-	lo := resizeScratch(g.loBuf, d)
-	hi := resizeScratch(g.hiBuf, d)
-	g.loBuf, g.hiBuf = lo, hi
-	for i := range lo {
-		lo[i], hi[i] = -m, m
-	}
-	g.forBox(center, lo, hi, fn)
-}
-
-// forShellBuckets invokes fn for every occupied bucket at Chebyshev
-// distance exactly k from center. It enumerates only the shell
-// surface — for each axis a, the two faces with offset ±k on a, axes
-// before a strictly inside, axes after a unrestricted — so every
-// surface offset is produced exactly once and the cost is the surface
-// size, not the enclosing window.
-func (g *Grid) forShellBuckets(center []int64, k int64, fn func(*gridBucket)) {
-	d := len(center)
-	if k == 0 || d == 0 {
-		if k == 0 {
-			if b, ok := g.lookup(center); ok {
-				fn(b)
-			}
+// whereLoose is NearestWhere over the side set.
+func (g *Grid) whereLoose(p stream.Point, pred func(slot int32) bool) (int32, float64, bool) {
+	var best int32
+	bestDist := math.Inf(1)
+	found := false
+	for s, q := range g.loose {
+		if pred != nil && !pred(s) {
+			continue
 		}
+		d := q.Distance(p)
+		if math.IsInf(d, 1) {
+			continue
+		}
+		if d < bestDist || (d == bestDist && g.ids[s] < g.ids[best]) {
+			best, bestDist, found = s, d, true
+		}
+	}
+	if !found {
+		return 0, 0, false
+	}
+	return best, bestDist, true
+}
+
+// span sets the tile box [tlo, thi] covering the bucket box [lo, hi]
+// and returns how many tiles it spans, saturating just above the
+// occupied tile count.
+func (g *Grid) span() int64 {
+	limit := int64(g.ntiles)
+	n := int64(1)
+	for a := range g.lo {
+		g.tlo[a], g.thi[a] = g.lo[a]>>g.shift, g.hi[a]>>g.shift
+		// w ≤ 0 only when bucket coordinates overflowed (seeds beyond
+		// ±9.2e18 buckets): walk the occupied tiles instead.
+		if w := g.thi[a] - g.tlo[a] + 1; w <= 0 || w > limit || n > limit/w {
+			n = limit + 1
+		} else {
+			n *= w
+		}
+	}
+	return n
+}
+
+// tilesIn appends to found the occupied tiles in the tile box
+// [tlo, thi] — minus the tile box [flo, fhi], which it contains, when
+// hollow is set. The difference is walked one slab per axis and side,
+// so no excluded tile is looked up.
+func (g *Grid) tilesIn(hollow bool) {
+	if !hollow {
+		g.lookupBox(g.tlo, g.thi)
 		return
 	}
-	lo := resizeScratch(g.loBuf, d)
-	hi := resizeScratch(g.hiBuf, d)
-	g.loBuf, g.hiBuf = lo, hi
-	for a := 0; a < d; a++ {
-		for _, s := range [2]int64{-k, k} {
-			for j := 0; j < d; j++ {
-				switch {
-				case j == a:
-					lo[j], hi[j] = s, s
-				case j < a:
-					lo[j], hi[j] = -(k - 1), k-1
-				default:
-					lo[j], hi[j] = -k, k
-				}
+	for a := range g.tlo {
+		for j := range g.tlo {
+			if j < a {
+				g.blo[j], g.bhi[j] = g.flo[j], g.fhi[j]
+			} else {
+				g.blo[j], g.bhi[j] = g.tlo[j], g.thi[j]
 			}
-			g.forBox(center, lo, hi, fn)
 		}
+		g.bhi[a] = g.flo[a] - 1
+		g.lookupBox(g.blo, g.bhi)
+		g.blo[a], g.bhi[a] = g.fhi[a]+1, g.thi[a]
+		g.lookupBox(g.blo, g.bhi)
 	}
 }
 
-// forBox invokes fn for every occupied bucket whose offset from center
-// lies in the axis-aligned box [lo, hi] (per-axis inclusive bounds).
-func (g *Grid) forBox(center, lo, hi []int64, fn func(*gridBucket)) {
-	d := len(center)
-	off := resizeScratch(g.offBuf, d)
-	coords := resizeScratch(g.coordBuf, d)
-	g.offBuf, g.coordBuf = off, coords
-	for i := range off {
-		if lo[i] > hi[i] {
+// lookupBox appends to found every occupied tile with coordinates in
+// [lo, hi].
+func (g *Grid) lookupBox(lo, hi []int64) {
+	cur := g.cur
+	for a := range cur {
+		if lo[a] > hi[a] {
 			return
 		}
-		off[i] = lo[i]
+		cur[a] = lo[a]
 	}
 	for {
-		for i := range coords {
-			coords[i] = center[i] + off[i]
+		if ti := g.lookup(cur); ti >= 0 {
+			g.found = append(g.found, ti)
 		}
-		if b, ok := g.lookup(coords); ok {
-			fn(b)
-		}
-		i := 0
-		for ; i < d; i++ {
-			off[i]++
-			if off[i] <= hi[i] {
+		a := 0
+		for ; a < len(cur); a++ {
+			cur[a]++
+			if cur[a] <= hi[a] {
 				break
 			}
-			off[i] = lo[i]
+			cur[a] = lo[a]
 		}
-		if i == d {
+		if a == len(cur) {
 			return
 		}
 	}
 }
 
-// chebyshev returns the L∞ distance between two bucket coordinates.
-func chebyshev(a, b []int64) int64 {
-	var max int64
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
+// collect appends to hits the chain heads of tile ti's occupied
+// buckets in m.
+func (g *Grid) collect(ti int32, m uint64) {
+	t := &g.tiles[ti]
+	for m &= t.mask; m != 0; m &= m - 1 {
+		below := t.mask & (1<<bits.TrailingZeros64(m) - 1)
+		g.hits = append(g.hits, t.heads[bits.OnesCount64(below)])
 	}
-	for i := 0; i < n; i++ {
-		d := a[i] - b[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > max {
-			max = d
-		}
-	}
-	return max
 }
 
-// windowExceeds reports whether width^d > cap, without overflowing.
-func windowExceeds(width int64, d, cap int) bool {
-	prod := int64(1)
-	for i := 0; i < d; i++ {
-		prod *= width
-		if prod > int64(cap) {
-			return true
+// boxMask returns the bits of tile ti whose buckets lie in the box
+// [lo, hi].
+func (g *Grid) boxMask(ti int32, lo, hi []int64) uint64 {
+	m := g.full
+	w := g.tside + 1
+	for a, k := range g.keyOf(ti) {
+		origin := k << g.shift
+		l, h := max(lo[a]-origin, 0), min(hi[a]-origin, g.tside-1)
+		if l > h {
+			return 0
 		}
+		row := g.prefix[int64(a)*w : int64(a+1)*w]
+		m &= row[h+1] &^ row[l]
 	}
-	return false
+	return m
 }

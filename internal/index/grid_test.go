@@ -12,8 +12,30 @@ func vec(coords ...float64) stream.Point {
 	return stream.Point{Vector: coords}
 }
 
+// testIndex pairs a SeedIndex with the seed column its owner keeps,
+// addressing each seed's slot by its ID.
+type testIndex struct {
+	SeedIndex
+	seeds *Seeds
+}
+
+func testGrid(side float64) testIndex {
+	s := &Seeds{}
+	return testIndex{NewGrid(side, s), s}
+}
+
+func testLinear() testIndex { return testIndex{NewLinear(), &Seeds{}} }
+
+// add stores p's row and indexes it as cell id in slot id.
+func (x testIndex) add(id int64, p stream.Point) {
+	x.seeds.Put(int32(id), p.Vector)
+	x.Insert(int32(id), id, p)
+}
+
+func (x testIndex) del(id int64, p stream.Point) { x.Remove(int32(id), p) }
+
 func TestEmptyIndexes(t *testing.T) {
-	for _, idx := range []SeedIndex{NewGrid(1.0), NewLinear()} {
+	for _, idx := range []testIndex{testGrid(1.0), testLinear()} {
 		if idx.Len() != 0 {
 			t.Fatalf("%s: empty index has Len %d", idx.Kind(), idx.Len())
 		}
@@ -27,16 +49,16 @@ func TestEmptyIndexes(t *testing.T) {
 }
 
 func TestGridInsertRemove(t *testing.T) {
-	g := NewGrid(1.0)
-	g.Insert(1, vec(0.5, 0.5))
-	g.Insert(2, vec(5.5, 5.5))
+	g := testGrid(1.0)
+	g.add(1, vec(0.5, 0.5))
+	g.add(2, vec(5.5, 5.5))
 	if g.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", g.Len())
 	}
 	if id, d, ok := g.NearestWithin(vec(0.4, 0.5), 1, nil); !ok || id != 1 || math.Abs(d-0.1) > 1e-12 {
 		t.Fatalf("NearestWithin = (%d, %v, %v), want cell 1 at 0.1", id, d, ok)
 	}
-	g.Remove(1, vec(0.5, 0.5))
+	g.del(1, vec(0.5, 0.5))
 	if g.Len() != 1 {
 		t.Fatalf("Len after remove = %d, want 1", g.Len())
 	}
@@ -47,20 +69,20 @@ func TestGridInsertRemove(t *testing.T) {
 		t.Fatalf("NearestWhere after remove = (%d, %v), want cell 2", id, ok)
 	}
 	// Removing a seed twice, or one that was never inserted, is a no-op.
-	g.Remove(1, vec(0.5, 0.5))
-	g.Remove(99, vec(7, 7))
+	g.del(1, vec(0.5, 0.5))
+	g.del(99, vec(7, 7))
 	if g.Len() != 1 {
 		t.Fatalf("Len after no-op removes = %d, want 1", g.Len())
 	}
 }
 
 func TestGridBucketBoundaries(t *testing.T) {
-	g := NewGrid(1.0)
+	g := testGrid(1.0)
 	// Seeds exactly on bucket boundaries, including negative coords.
-	g.Insert(1, vec(0, 0))
-	g.Insert(2, vec(1, 0))
-	g.Insert(3, vec(-1, 0))
-	g.Insert(4, vec(-2.5, 0))
+	g.add(1, vec(0, 0))
+	g.add(2, vec(1, 0))
+	g.add(3, vec(-1, 0))
+	g.add(4, vec(-2.5, 0))
 
 	// A probe at distance exactly r must still find the seed (the
 	// absorb condition of the core algorithm is d ≤ r inclusive).
@@ -78,11 +100,11 @@ func TestGridBucketBoundaries(t *testing.T) {
 }
 
 func TestGridNearestWhere(t *testing.T) {
-	g := NewGrid(1.0)
-	g.Insert(1, vec(0, 0))
-	g.Insert(2, vec(10, 0))
-	g.Insert(3, vec(10.5, 0))
-	g.Insert(4, vec(-40, 0))
+	g := testGrid(1.0)
+	g.add(1, vec(0, 0))
+	g.add(2, vec(10, 0))
+	g.add(3, vec(10.5, 0))
+	g.add(4, vec(-40, 0))
 
 	// Unrestricted: nearest overall.
 	if id, d, ok := g.NearestWhere(vec(0.25, 0), nil); !ok || id != 1 || d != 0.25 {
@@ -90,12 +112,12 @@ func TestGridNearestWhere(t *testing.T) {
 	}
 	// Predicate excludes the near seed: the shell search must keep
 	// expanding (far past the 3^d neighborhood) to the admissible one.
-	not1 := func(id int64) bool { return id != 1 }
+	not1 := func(id int32) bool { return id != 1 }
 	if id, d, ok := g.NearestWhere(vec(0.25, 0), not1); !ok || id != 2 || d != 9.75 {
 		t.Fatalf("NearestWhere(≠1) = (%d, %v, %v), want cell 2 at 9.75", id, d, ok)
 	}
 	// Nothing admissible.
-	if _, _, ok := g.NearestWhere(vec(0, 0), func(int64) bool { return false }); ok {
+	if _, _, ok := g.NearestWhere(vec(0, 0), func(int32) bool { return false }); ok {
 		t.Fatal("NearestWhere with rejecting predicate returned ok")
 	}
 	// A probe far from every seed exercises the direct-scan fallback
@@ -113,15 +135,15 @@ func TestGridVectorlessEntries(t *testing.T) {
 		}
 		return stream.Point{Tokens: set}
 	}
-	g := NewGrid(0.5)
-	l := NewLinear()
+	g := testGrid(0.5)
+	l := testLinear()
 	for id, p := range map[int64]stream.Point{
 		1: tokens("a", "b"),
 		2: vec(1, 1),
 		3: tokens("a", "c"),
 	} {
-		g.Insert(id, p)
-		l.Insert(id, p)
+		g.add(id, p)
+		l.add(id, p)
 	}
 	if g.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", g.Len())
@@ -138,12 +160,12 @@ func TestGridVectorlessEntries(t *testing.T) {
 	if !gok || gid != 1 || gok != lok || gid != lid || gd != ld {
 		t.Fatalf("token probe: grid (%d, %v, %v) vs linear (%d, %v, %v)", gid, gd, gok, lid, ld, lok)
 	}
-	gid, gd, gok = g.NearestWhere(probe, func(id int64) bool { return id != 1 })
-	lid, ld, lok = l.NearestWhere(probe, func(id int64) bool { return id != 1 })
+	gid, gd, gok = g.NearestWhere(probe, func(id int32) bool { return id != 1 })
+	lid, ld, lok = l.NearestWhere(probe, func(id int32) bool { return id != 1 })
 	if !gok || gid != 3 || gok != lok || gid != lid || gd != ld {
 		t.Fatalf("token NearestWhere: grid (%d, %v, %v) vs linear (%d, %v, %v)", gid, gd, gok, lid, ld, lok)
 	}
-	g.Remove(1, tokens("a", "b"))
+	g.del(1, tokens("a", "b"))
 	if g.Len() != 2 {
 		t.Fatalf("Len after vectorless remove = %d, want 2", g.Len())
 	}
@@ -153,12 +175,12 @@ func TestGridVectorlessEntries(t *testing.T) {
 }
 
 func TestGridOnDistCallback(t *testing.T) {
-	g := NewGrid(1.0)
-	g.Insert(1, vec(0, 0))
-	g.Insert(2, vec(0.5, 0))
-	g.Insert(3, vec(20, 20)) // far outside the probe window
+	g := testGrid(1.0)
+	g.add(1, vec(0, 0))
+	g.add(2, vec(0.5, 0))
+	g.add(3, vec(20, 20)) // far outside the probe window
 	seen := map[int64]float64{}
-	if _, _, ok := g.NearestWithin(vec(0.25, 0), 1, func(id int64, d float64) { seen[id] = d }); !ok {
+	if _, _, ok := g.NearestWithin(vec(0.25, 0), 1, func(id int32, d float64) { seen[int64(id)] = d }); !ok {
 		t.Fatal("probe failed")
 	}
 	if _, ok := seen[1]; !ok {
@@ -180,8 +202,8 @@ func TestGridMatchesLinear(t *testing.T) {
 	for _, dim := range []int{1, 2, 3, 5} {
 		rng := rand.New(rand.NewSource(int64(40 + dim)))
 		side := 0.8
-		g := NewGrid(side)
-		l := NewLinear()
+		g := testGrid(side)
+		l := testLinear()
 		n := 400
 		pts := make([]stream.Point, 0, n)
 		for i := 0; i < n; i++ {
@@ -191,19 +213,19 @@ func TestGridMatchesLinear(t *testing.T) {
 			}
 			p := stream.Point{Vector: v}
 			pts = append(pts, p)
-			g.Insert(int64(i), p)
-			l.Insert(int64(i), p)
+			g.add(int64(i), p)
+			l.add(int64(i), p)
 		}
 		// Random removals keep both sides in sync.
 		for i := 0; i < n/5; i++ {
 			id := int64(rng.Intn(n))
-			g.Remove(id, pts[id])
-			l.Remove(id, pts[id])
+			g.del(id, pts[id])
+			l.del(id, pts[id])
 		}
 		if g.Len() != l.Len() {
 			t.Fatalf("dim %d: Len mismatch grid %d linear %d", dim, g.Len(), l.Len())
 		}
-		pred := func(id int64) bool { return id%3 != 0 }
+		pred := func(id int32) bool { return id%3 != 0 }
 		for q := 0; q < 200; q++ {
 			v := make([]float64, dim)
 			for j := range v {
@@ -222,6 +244,76 @@ func TestGridMatchesLinear(t *testing.T) {
 				t.Fatalf("dim %d query %d: NearestWhere grid (%d,%v,%v) != linear (%d,%v,%v)",
 					dim, q, gid, gd, gok, lid, ld, lok)
 			}
+		}
+	}
+}
+
+// TestGridStorageBoundedByLiveSeeds slides a window of live seeds
+// across the plane, reusing each removed seed's slot for the next
+// insert, and requires the grid's per-slot columns, tile store and
+// tile table to stay bounded by the live population rather than grow
+// with the number of seeds ever inserted or tiles ever touched.
+func TestGridStorageBoundedByLiveSeeds(t *testing.T) {
+	const live = 50
+	x := testGrid(1.0)
+	g := x.SeedIndex.(*Grid)
+	type seed struct {
+		slot int32
+		p    stream.Point
+	}
+	var window []seed
+	for id := int64(0); id < 20000; id++ {
+		slot := int32(id)
+		if len(window) == live {
+			old := window[0]
+			window = window[1:]
+			g.Remove(old.slot, old.p)
+			slot = old.slot
+		}
+		p := vec(float64(id)*0.7, float64(id)*0.2)
+		x.seeds.Put(slot, p.Vector)
+		g.Insert(slot, id, p)
+		window = append(window, seed{slot, p})
+	}
+	if g.Len() != live {
+		t.Fatalf("Len = %d, want %d", g.Len(), live)
+	}
+	if len(g.ids) > live || len(g.next) > live {
+		t.Fatalf("slot columns hold %d/%d entries for %d live seeds", len(g.ids), len(g.next), live)
+	}
+	if len(g.tiles) > live || len(g.table) > 4*live {
+		t.Fatalf("%d tiles in a %d-slot table for %d live seeds", len(g.tiles), len(g.table), live)
+	}
+	if len(x.seeds.vals) > 2*live {
+		t.Fatalf("seed column holds %d values for %d live 2-D seeds", len(x.seeds.vals), live)
+	}
+}
+
+// TestGridExtremeCoordinates indexes seeds whose bucket coordinates
+// overflow int64 (|v|/side beyond 9.2e18) next to ordinary ones: the
+// grid must not panic and must answer as the linear scan does.
+func TestGridExtremeCoordinates(t *testing.T) {
+	g, l := testGrid(0.5), testLinear()
+	pts := []stream.Point{
+		vec(1e300, 1e300), vec(-1e300, -1e300), vec(1e300, -1e300),
+		vec(0, 0), vec(1e300+1e285, 1e300), vec(-4e18, 4e18), vec(4.7e18, -4.7e18),
+	}
+	for i, p := range pts {
+		g.add(int64(i), p)
+		l.add(int64(i), p)
+	}
+	for _, p := range append(pts, vec(1e300, 0), vec(-4e18, 4e18+3)) {
+		for _, r := range []float64{0.5, 1.5} {
+			gs, gd, gok := g.NearestWithin(p, r, nil)
+			ls, ld, lok := l.NearestWithin(p, r, nil)
+			if gok != lok || gok && (gs != ls || gd != ld) {
+				t.Fatalf("NearestWithin(%v, %g): grid (%d, %v, %v), linear (%d, %v, %v)", p.Vector, r, gs, gd, gok, ls, ld, lok)
+			}
+		}
+		gs, gd, gok := g.NearestWhere(p, func(s int32) bool { return s != 3 })
+		ls, ld, lok := l.NearestWhere(p, func(s int32) bool { return s != 3 })
+		if gok != lok || gok && (gs != ls || gd != ld) {
+			t.Fatalf("NearestWhere(%v): grid (%d, %v, %v), linear (%d, %v, %v)", p.Vector, gs, gd, gok, ls, ld, lok)
 		}
 	}
 }

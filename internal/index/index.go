@@ -16,34 +16,35 @@ package index
 
 import "github.com/densitymountain/edmstream/internal/stream"
 
-// SeedIndex indexes cluster-cell seed points by cell ID and answers
-// the two nearest-neighbor queries the core algorithm needs. Seeds are
-// immutable for the lifetime of a cell, so there is no update
-// operation: cells are inserted once and removed once.
-//
-// Ties in distance are broken toward the lowest cell ID by every
-// implementation, which keeps the algorithm's output independent of
-// the index choice.
+// SeedIndex indexes cluster-cell seed points by slot and answers the
+// two nearest-neighbor queries the core algorithm needs. A slot is the
+// small reusable integer the engine addresses a live cell by (see
+// Seeds); the cell's ID travels with it because distance ties are
+// broken toward the lowest cell ID by every implementation, which
+// keeps the algorithm's output independent of the index choice and of
+// slot reuse. Seeds are immutable for the lifetime of a cell, so there
+// is no update operation: cells are inserted once and removed once.
 type SeedIndex interface {
 	// Len returns the number of indexed seeds.
 	Len() int
-	// Insert adds the seed p of cell id to the index.
-	Insert(id int64, p stream.Point)
-	// Remove deletes cell id, whose seed is p, from the index.
-	Remove(id int64, p stream.Point)
-	// NearestWithin returns the indexed seed nearest to p among those
-	// at distance at most r, or ok == false when no seed is that
-	// close. onDist, when non-nil, is invoked with every (id,
-	// distance) pair the index measures during the probe; the core
-	// algorithm uses it to stamp distances onto cells for the
+	// Insert adds the seed p of cell id, held in slot, to the index.
+	Insert(slot int32, id int64, p stream.Point)
+	// Remove deletes the seed in slot, whose point is p, from the
+	// index.
+	Remove(slot int32, p stream.Point)
+	// NearestWithin returns the slot of the indexed seed nearest to p
+	// among those at distance at most r, or ok == false when no seed
+	// is that close. onDist, when non-nil, is invoked with every
+	// (slot, distance) pair the index measures during the probe; the
+	// core algorithm uses it to stamp distances onto cells for the
 	// triangle-inequality filter (Theorem 2).
-	NearestWithin(p stream.Point, r float64, onDist func(id int64, d float64)) (id int64, d float64, ok bool)
-	// NearestWhere returns the indexed seed nearest to p among those
-	// whose ID satisfies pred (a nil pred accepts every seed), or
-	// ok == false when no admissible seed exists. It is unbounded in
-	// distance and backs dependency searches (nearest cell with
-	// higher density).
-	NearestWhere(p stream.Point, pred func(id int64) bool) (id int64, d float64, ok bool)
+	NearestWithin(p stream.Point, r float64, onDist func(slot int32, d float64)) (slot int32, d float64, ok bool)
+	// NearestWhere returns the slot of the indexed seed nearest to p
+	// among those whose slot satisfies pred (a nil pred accepts every
+	// seed), or ok == false when no admissible seed exists. It is
+	// unbounded in distance and backs dependency searches (nearest
+	// cell with higher density).
+	NearestWhere(p stream.Point, pred func(slot int32) bool) (slot int32, d float64, ok bool)
 	// Kind returns a short identifier ("grid", "linear") used in
 	// stats and benchmark reports.
 	Kind() string

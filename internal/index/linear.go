@@ -13,17 +13,19 @@ import (
 // scan the core algorithm used before the index abstraction existed.
 type Linear struct {
 	entries []linearEntry
-	pos     map[int64]int
+	// pos maps a slot to its entry's position plus one (0: absent).
+	pos []int
 }
 
 type linearEntry struct {
-	id int64
-	pt stream.Point
+	slot int32
+	id   int64
+	pt   stream.Point
 }
 
 // NewLinear creates an empty linear index.
 func NewLinear() *Linear {
-	return &Linear{pos: make(map[int64]int)}
+	return &Linear{}
 }
 
 // Len implements SeedIndex.
@@ -33,53 +35,54 @@ func (l *Linear) Len() int { return len(l.entries) }
 func (l *Linear) Kind() string { return "linear" }
 
 // Insert implements SeedIndex.
-func (l *Linear) Insert(id int64, p stream.Point) {
-	l.pos[id] = len(l.entries)
-	l.entries = append(l.entries, linearEntry{id: id, pt: p})
+func (l *Linear) Insert(slot int32, id int64, p stream.Point) {
+	for int(slot) >= len(l.pos) {
+		l.pos = append(l.pos, 0)
+	}
+	l.entries = append(l.entries, linearEntry{slot: slot, id: id, pt: p})
+	l.pos[slot] = len(l.entries)
 }
 
 // Remove implements SeedIndex (O(1) swap-remove).
-func (l *Linear) Remove(id int64, _ stream.Point) {
-	i, ok := l.pos[id]
-	if !ok {
+func (l *Linear) Remove(slot int32, _ stream.Point) {
+	if int(slot) >= len(l.pos) || l.pos[slot] == 0 {
 		return
 	}
+	i := l.pos[slot] - 1
 	last := len(l.entries) - 1
 	l.entries[i] = l.entries[last]
-	l.pos[l.entries[i].id] = i
+	l.pos[l.entries[i].slot] = i + 1
 	l.entries = l.entries[:last]
-	delete(l.pos, id)
+	l.pos[slot] = 0
 }
 
 // NearestWithin implements SeedIndex by scanning every entry.
-func (l *Linear) NearestWithin(p stream.Point, r float64, onDist func(id int64, d float64)) (int64, float64, bool) {
-	var bestID int64
+func (l *Linear) NearestWithin(p stream.Point, r float64, onDist func(slot int32, d float64)) (int32, float64, bool) {
+	var best *linearEntry
 	bestDist := math.Inf(1)
-	found := false
 	for i := range l.entries {
 		en := &l.entries[i]
 		d := en.pt.Distance(p)
 		if onDist != nil {
-			onDist(en.id, d)
+			onDist(en.slot, d)
 		}
-		if d <= r && (d < bestDist || (d == bestDist && en.id < bestID)) {
-			bestID, bestDist, found = en.id, d, true
+		if d <= r && (d < bestDist || (d == bestDist && best != nil && en.id < best.id)) {
+			best, bestDist = en, d
 		}
 	}
-	if !found {
+	if best == nil {
 		return 0, 0, false
 	}
-	return bestID, bestDist, true
+	return best.slot, bestDist, true
 }
 
 // NearestWhere implements SeedIndex by scanning every entry.
-func (l *Linear) NearestWhere(p stream.Point, pred func(id int64) bool) (int64, float64, bool) {
-	var bestID int64
+func (l *Linear) NearestWhere(p stream.Point, pred func(slot int32) bool) (int32, float64, bool) {
+	var best *linearEntry
 	bestDist := math.Inf(1)
-	found := false
 	for i := range l.entries {
 		en := &l.entries[i]
-		if pred != nil && !pred(en.id) {
+		if pred != nil && !pred(en.slot) {
 			continue
 		}
 		d := en.pt.Distance(p)
@@ -89,12 +92,12 @@ func (l *Linear) NearestWhere(p stream.Point, pred func(id int64) bool) (int64, 
 			// they are not reported even when nothing else matches.
 			continue
 		}
-		if d < bestDist || (d == bestDist && en.id < bestID) {
-			bestID, bestDist, found = en.id, d, true
+		if d < bestDist || (d == bestDist && best != nil && en.id < best.id) {
+			best, bestDist = en, d
 		}
 	}
-	if !found {
+	if best == nil {
 		return 0, 0, false
 	}
-	return bestID, bestDist, true
+	return best.slot, bestDist, true
 }

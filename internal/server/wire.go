@@ -136,6 +136,12 @@ func decodeJSON(body []byte, now float64, maxPoints int) ([]edmstream.Point, err
 	if _, err := dec.Token(); err != nil {
 		return nil, err
 	}
+	// Only whitespace may follow the array: a body with more after its
+	// closing bracket is not the array alone, and acking the array
+	// would drop the rest without a word.
+	if i := skipSpace(body, int(dec.InputOffset())); i < len(body) {
+		return nil, fmt.Errorf("unexpected data after the JSON array at byte %d", i)
+	}
 	return pts, nil
 }
 

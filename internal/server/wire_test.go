@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -85,6 +86,59 @@ func TestDecodePointsObjectForms(t *testing.T) {
 
 // TestScanPointsShape pins which bodies the fast path takes: canonical
 // arrays are scanned (and decode exactly as encoding/json decodes
+// TestDecodePointsTrailingData pins what may follow a JSON-array body:
+// whitespace and newlines are accepted, anything else rejects the whole
+// body, on the decoder and as an HTTP 400 with nothing ingested.
+func TestDecodePointsTrailingData(t *testing.T) {
+	cases := []struct {
+		body string
+		ok   bool
+	}{
+		{`[{"vector":[1]}]`, true},
+		{"[{\"vector\":[1]}]\n", true},
+		{"[{\"vector\":[1]}] \t\r\n \n", true},
+		{`[{"vector":[1]}] trailing`, false},
+		{`[{"vector":[1]}]]`, false},
+		{`[{"vector":[1]}] [{"vector":[2]}]`, false},
+		{`[{"vector":[1]}]{"vector":[2]}`, false},
+		{"[{\"vector\":[1]}]\n0", false},
+	}
+	for _, tc := range cases {
+		pts, err := decodePoints(strings.NewReader(tc.body), 0, 0)
+		if tc.ok && (err != nil || len(pts) != 1) {
+			t.Errorf("%q: got %d points, err %v; want 1 point", tc.body, len(pts), err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%q: accepted %d points, want rejected", tc.body, len(pts))
+		}
+	}
+
+	_, c, base := startServer(t, testOptions(), Config{})
+	for _, tc := range cases {
+		resp, err := http.Post(base+"/v1/ingest", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		want := http.StatusOK
+		if !tc.ok {
+			want = http.StatusBadRequest
+		}
+		if resp.StatusCode != want {
+			t.Errorf("POST %q: status %d, want %d", tc.body, resp.StatusCode, want)
+		}
+	}
+	accepted := 0
+	for _, tc := range cases {
+		if tc.ok {
+			accepted++
+		}
+	}
+	if got := c.Stats().Points; got != int64(accepted) {
+		t.Errorf("engine ingested %d points, want %d", got, accepted)
+	}
+}
+
 // them), everything else is declined to decodeJSON.
 func TestScanPointsShape(t *testing.T) {
 	cases := []struct {

@@ -380,7 +380,10 @@ func (l *Log) readCheckpointFile(meta segMeta) ([]byte, error) {
 		if zerr != nil {
 			return nil, fmt.Errorf("wal: checkpoint %s gzip header: %w", meta.name, zerr)
 		}
-		plain, rerr := io.ReadAll(io.LimitReader(zr, maxRecordBytes+1))
+		// Inflate at most one byte past the claimed length: that is
+		// enough to detect a mismatch, and a small corrupt body cannot
+		// inflate into gigabytes.
+		plain, rerr := io.ReadAll(io.LimitReader(zr, int64(n)+1))
 		if cerr := zr.Close(); rerr == nil {
 			rerr = cerr
 		}
