@@ -11,19 +11,22 @@
 //
 // EXPERIMENTS.md records the paper-vs-measured comparison for each ID.
 //
-// The file lives in the external test package: internal/bench now
-// imports the root package (its e2e experiment drives the public API
-// through the network layer), so an in-package test importing
-// internal/bench would be an import cycle.
+// The file lives in the external test package: internal/bench
+// imports the root package (its drills drive the public API through
+// the network layer), so an in-package test importing internal/bench
+// would be an import cycle.
 package edmstream_test
 
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"github.com/densitymountain/edmstream"
 	"github.com/densitymountain/edmstream/internal/bench"
+	"github.com/densitymountain/edmstream/internal/core"
 	"github.com/densitymountain/edmstream/internal/gen"
+	"github.com/densitymountain/edmstream/internal/stream"
 )
 
 // benchScale is the workload size used by the benchmarks. Every phase
@@ -280,40 +283,20 @@ func BenchmarkAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexNearestSeed measures the indexed-vs-linear nearest-seed
-// hot path (not in the paper): insert throughput with the grid index
-// and with the linear scan on a 2-D stream holding >1000 simultaneously
-// active cluster-cells. The grid is expected to win by >=2x in this
-// regime; the exact ratio is reported as the speedup metric.
-func BenchmarkIndexNearestSeed(b *testing.B) {
-	s := benchScale()
-	var results []bench.IndexBenchResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		results, err = bench.RunIndexBench(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range results {
-		b.ReportMetric(r.InsertsPerSec, fmt.Sprintf("%s_pts/sec", r.IndexKind))
-		b.ReportMetric(float64(r.ActiveCells), fmt.Sprintf("%s_active", r.IndexKind))
-	}
-	b.ReportMetric(bench.IndexSpeedup(results), "speedup")
-}
-
-// benchmarkIngestMode drives the bursty 2-D lattice throughput
-// workload through the public API in the given batch size (1 = plain
-// Insert). One op is one point, so with -benchmem the allocs/op column
-// is allocations per ingested point.
-func benchmarkIngestMode(b *testing.B, batchSize int) {
+// benchmarkIngestMode drives the bursty 2-D lattice workload
+// (bench.LatticeStream, ≈1300 simultaneously active cells) through the
+// public API in the given batch size (1 = plain Insert) with the given
+// nearest-seed index. One op is one point, so with -benchmem the
+// allocs/op column is allocations per ingested point; seed_cands/pt is
+// the seed distances the index measured per point.
+func benchmarkIngestMode(b *testing.B, batchSize int, policy edmstream.IndexPolicy) {
 	const rate = 1000.0
 	warmup := 16000
-	pts := bench.ThroughputStream(warmup+200000, 1, rate)
+	pts := bench.LatticeStream(warmup+200000, 1, rate)
 	opts := edmstream.Options{
 		Radius: 1.0, Rate: rate, Decay: edmstream.Decay{A: 0.99995, Lambda: rate},
 		Beta: 1e-4, Tau: 6.0, InitPoints: 500,
-		IndexPolicy: edmstream.IndexGrid, EvolutionInterval: -1,
+		IndexPolicy: policy, EvolutionInterval: -1,
 	}
 	c, err := edmstream.New(opts)
 	if err != nil {
@@ -324,9 +307,13 @@ func benchmarkIngestMode(b *testing.B, batchSize int) {
 			b.Fatal(err)
 		}
 	}
+	// Restamped times continue the warm-up's clock, so the measured
+	// points arrive at steady state rather than after a gap that
+	// decays every cell.
 	measured := pts[warmup:]
-	nextTime := measured[len(measured)-1].Time
+	nextTime := pts[warmup-1].Time
 	batch := make([]edmstream.Point, 0, batchSize)
+	candsBefore := c.Stats().SeedCandidates
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -347,15 +334,87 @@ func benchmarkIngestMode(b *testing.B, batchSize int) {
 			batch = batch[:0]
 		}
 	}
+	st := c.Stats()
+	b.ReportMetric(float64(st.SeedCandidates-candsBefore)/float64(b.N), "seed_cands/pt")
+	b.ReportMetric(float64(st.ActiveCells), "active_cells")
+}
+
+// BenchmarkIndexNearestSeed measures the indexed-vs-linear nearest-seed
+// hot path (not in the paper): per-point insert cost with the grid
+// index and with the linear scan on the lattice workload. Compare the
+// grid and linear sub-benchmarks' ns/op and seed_cands/pt.
+func BenchmarkIndexNearestSeed(b *testing.B) {
+	b.Run("grid", func(b *testing.B) { benchmarkIngestMode(b, 1, edmstream.IndexGrid) })
+	b.Run("linear", func(b *testing.B) { benchmarkIngestMode(b, 1, edmstream.IndexLinear) })
 }
 
 // BenchmarkInsertBatch compares batched ingestion against per-point
-// ingestion on the bursty 2-D lattice workload (≈1600 simultaneously
-// active cells). The per-point and batch-256 sub-benchmarks measure
-// steady-state cost per point through the public API.
+// ingestion on the lattice workload. The per-point and batch-256
+// sub-benchmarks measure steady-state cost per point through the
+// public API.
 func BenchmarkInsertBatch(b *testing.B) {
-	b.Run("per-point", func(b *testing.B) { benchmarkIngestMode(b, 1) })
-	b.Run("batch-256", func(b *testing.B) { benchmarkIngestMode(b, bench.ThroughputBatchSize) })
+	b.Run("per-point", func(b *testing.B) { benchmarkIngestMode(b, 1, edmstream.IndexGrid) })
+	b.Run("batch-256", func(b *testing.B) { benchmarkIngestMode(b, 256, edmstream.IndexGrid) })
+}
+
+// BenchmarkRefresh measures what incremental cluster extraction buys
+// (not in the paper): the latency of one snapshot refresh after each
+// 100 ms of stream time, with the incremental MSD-subtree extraction
+// and with the from-scratch rebuild, on the warmed-up lattice workload.
+// The slow decay (a = 0.99999, steady-state stream weight 100k)
+// keeps the density ranking, and with it the dependency links, stable
+// between refreshes: the serving regime the incremental path is built
+// for. It drives internal/core because the full rebuild is not a
+// public option. ns/op includes the 100 ingested points; ns/refresh is
+// the refresh alone.
+func BenchmarkRefresh(b *testing.B) {
+	const (
+		rate   = 1000.0
+		warmup = 100000 // ~1.4 density half-lives
+		chunk  = 100    // 100 ms of stream time
+		batch  = 256
+	)
+	pts := bench.LatticeStream(warmup+100000, 1, rate)
+	for _, mode := range []string{"incremental", "full"} {
+		b.Run(mode, func(b *testing.B) {
+			edm, err := core.New(core.Config{
+				Radius: 1.0, Rate: rate, Decay: stream.Decay{A: 0.99999, Lambda: rate},
+				Beta: 3e-5, Tau: 6.0, InitPoints: 500,
+				IndexPolicy: core.IndexGrid, EvolutionInterval: -1,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			edm.SetFullExtraction(mode == "full")
+			for i := 0; i < warmup; i += batch {
+				if err := edm.InsertBatch(pts[i:min(i+batch, warmup)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			edm.Refresh()
+			measured := pts[warmup:]
+			nextTime := pts[warmup-1].Time
+			buf := make([]stream.Point, chunk)
+			var refresh time.Duration
+			var snap core.Snapshot
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range buf {
+					buf[j] = measured[(i*chunk+j)%len(measured)]
+					nextTime += 1 / rate
+					buf[j].Time = nextTime
+				}
+				if err := edm.InsertBatch(buf); err != nil {
+					b.Fatal(err)
+				}
+				t0 := time.Now()
+				snap = edm.Refresh()
+				refresh += time.Since(t0)
+			}
+			b.ReportMetric(float64(refresh.Nanoseconds())/float64(b.N), "ns/refresh")
+			b.ReportMetric(float64(snap.ActiveCells), "active_cells")
+		})
+	}
 }
 
 // BenchmarkInsert measures the raw per-point insertion cost of

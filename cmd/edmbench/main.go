@@ -7,13 +7,15 @@
 //
 //	experiments: table2, fig6, fig7, fig8, fig9, fig10, fig11, fig12,
 //	             fig13, fig14, fig15 (alias table4), fig16, fig17,
-//	             ablation, index, serve, wal, overload, dr, tenants,
-//	             all
+//	             ablation, wal, overload, dr, tenants, all
 //
 // Flags control the workload scale; the defaults are large enough to
 // reproduce the paper's curve shapes while finishing in minutes on a
-// laptop. The experiments with a machine-readable artifact write it
-// as BENCH_<name>.json in the working directory.
+// laptop. The process-level drills (wal, overload, dr, tenants) write
+// a machine-readable BENCH_<name>.json artifact in the working
+// directory. Throughput and latency are measured elsewhere: the Go
+// benchmarks in the root package (go test -bench) and the serving
+// benchmark in benchmark/.
 package main
 
 import (
@@ -69,23 +71,19 @@ experiments:
   fig16     outlier reservoir size vs bound (Fig. 16 a-b)
   fig17     effect of the cluster-cell radius (Fig. 17 a-b)
   ablation  extra design-choice studies
-  index     nearest-seed index: grid vs linear insert throughput
-  serve     serving layer: incremental vs full snapshot refresh, and
-            concurrent Assign queries (1 writer + 4 readers; writes the
-            machine-readable BENCH_serve.json artifact)
-  wal       durability: ingest throughput with the WAL fsync on vs off,
-            then a kill-and-restart drill — SIGKILL a durable serving
-            child mid-traffic, restart it on the same WAL directory and
-            require byte-identical recovery of every acknowledged point
-            (writes the machine-readable BENCH_wal.json artifact)
+  wal       durability: a kill-and-restart drill — SIGKILL a durable
+            serving child mid-traffic, restart it on the same WAL
+            directory and require byte-identical recovery of every
+            acknowledged point (writes the machine-readable
+            BENCH_wal.json artifact)
   overload  resilience: drive a durable serving child at 4x its (fault-
             injected slow-disk) capacity while the disk dies and heals;
             require clean 429/503 shedding with Retry-After, automatic
             degraded-mode entry and recovery, and exact survival of
             every acknowledged point across a drain and restart (writes
             the machine-readable BENCH_overload.json artifact)
-  tenants   multi-tenant serving: 32 named streams over the bounded
-            writer pool under a memory budget forcing eviction/revival
+  tenants   multi-tenant serving: 32 named streams, one writer
+            goroutine each, under a memory budget forcing eviction/revival
             churn, SIGKILLed mid-traffic and restarted; every stream's
             recovered clustering must be byte-identical to a solo
             reference replay of its acknowledged batches, and the
@@ -218,18 +216,6 @@ func run(id string, s bench.Scale) error {
 			return err
 		}
 		fmt.Print(bench.FormatAblation(results))
-	case "index":
-		results, err := bench.RunIndexBench(s)
-		if err != nil {
-			return err
-		}
-		fmt.Print(bench.FormatIndexBench(results))
-	case "serve":
-		rep, err := bench.RunServe(s)
-		if err != nil {
-			return err
-		}
-		return report(bench.FormatServe(rep), "BENCH_serve.json", rep)
 	case "wal":
 		rep, err := bench.RunWAL(s)
 		if err != nil {
@@ -255,7 +241,7 @@ func run(id string, s bench.Scale) error {
 		}
 		return report(bench.FormatTenants(rep), "BENCH_tenancy.json", rep)
 	case "all":
-		ids := []string{"table2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "ablation", "index", "serve", "wal", "overload", "dr", "tenants"}
+		ids := []string{"table2", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "ablation", "wal", "overload", "dr", "tenants"}
 		for _, sub := range ids {
 			fmt.Printf("===== %s =====\n", sub)
 			if err := run(sub, s); err != nil {

@@ -111,7 +111,7 @@ func RunDR(s Scale) (DRReport, error) {
 	}
 	warmupBatches := drillWarmup / drillBatch
 	total := (warmupBatches + measuredBatches + drLiveBatches) * drillBatch
-	pts := ServeStream(total, s.Seed, s.Rate)
+	pts := LatticeStream(total, s.Seed, s.Rate)
 	bodies, err := drillBodies(pts)
 	if err != nil {
 		return DRReport{}, err

@@ -86,15 +86,9 @@ type statsView struct {
 			DegradedRecovered uint64 `json:"degraded_recovered"`
 		} `json:"admission"`
 		Durability *struct {
-			Records              uint64  `json:"records"`
-			Bytes                uint64  `json:"bytes"`
-			Checkpoints          uint64  `json:"checkpoints"`
-			NoSync               bool    `json:"no_sync"`
-			FsyncP50Sec          float64 `json:"fsync_p50_seconds"`
-			FsyncP99Sec          float64 `json:"fsync_p99_seconds"`
-			BudgetCheckpoints    uint64  `json:"budget_checkpoints"`
-			ReplayPointsPerSec   int64   `json:"replay_points_per_sec"`
-			CheckpointCompressed bool    `json:"checkpoint_compressed"`
+			BudgetCheckpoints    uint64 `json:"budget_checkpoints"`
+			ReplayPointsPerSec   int64  `json:"replay_points_per_sec"`
+			CheckpointCompressed bool   `json:"checkpoint_compressed"`
 			Recovery             struct {
 				HasCheckpoint   bool `json:"has_checkpoint"`
 				RecordsReplayed int  `json:"records_replayed"`

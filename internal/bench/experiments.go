@@ -26,14 +26,6 @@ type Scale struct {
 	Rate float64
 }
 
-// DefaultScale is the scale used by the benchmarks: large enough for
-// every phase (initialization, promotions, decay, deletions) to occur,
-// small enough to run all experiments in minutes.
-func DefaultScale() Scale { return Scale{Points: 20000, Seed: 1, Rate: 1000} }
-
-// SmallScale is used by unit tests of the harness itself.
-func SmallScale() Scale { return Scale{Points: 3000, Seed: 1, Rate: 1000} }
-
 // dataset builds one of the named datasets at the given scale.
 func dataset(name string, s Scale) (gen.Dataset, error) {
 	return gen.ByName(name, s.Points, s.Seed)

@@ -183,48 +183,6 @@ func FormatAblation(results []AblationResult) string {
 	return b.String()
 }
 
-// FormatIndexBench renders the nearest-seed index experiment.
-func FormatIndexBench(results []IndexBenchResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Nearest-seed index: grid vs linear insert throughput (2-D lattice stream)\n")
-	fmt.Fprintf(&b, "%-8s %12s %12s %14s %12s %18s %9s\n",
-		"index", "active", "cells total", "inserts/sec", "insert wall", "seed dists/point", "clusters")
-	for _, r := range results {
-		fmt.Fprintf(&b, "%-8s %12d %12d %14.0f %12s %18.1f %9d\n",
-			r.IndexKind, r.ActiveCells, r.TotalCells, r.InsertsPerSec, formatDuration(r.InsertWall),
-			r.MeanCandidatesPerPoint, r.Clusters)
-	}
-	if s := IndexSpeedup(results); s > 0 {
-		fmt.Fprintf(&b, "grid speedup over linear: %.2fx\n", s)
-	}
-	return b.String()
-}
-
-// FormatServe renders the serving experiment: incremental vs full
-// snapshot-refresh latency, and concurrent query throughput.
-func FormatServe(rep ServeReport) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Serving layer: incremental refresh + concurrent Assign (steady-state lattice stream)\n")
-	fmt.Fprintf(&b, "%-12s %10s %12s %12s %12s %12s %8s\n",
-		"extraction", "refreshes", "median", "mean", "min", "max", "cells")
-	for _, r := range []ServeRefreshResult{rep.Incremental, rep.Full} {
-		fmt.Fprintf(&b, "%-12s %10d %12s %12s %12s %12s %8d\n",
-			r.Mode, r.Refreshes,
-			formatDuration(time.Duration(r.MedianNanos)),
-			formatDuration(time.Duration(int64(r.MeanNanos))),
-			formatDuration(time.Duration(r.MinNanos)),
-			formatDuration(time.Duration(r.MaxNanos)),
-			r.ActiveCells)
-	}
-	fmt.Fprintf(&b, "incremental refresh speedup over full rebuild: %.2fx\n", rep.RefreshSpeedup)
-	fmt.Fprintf(&b, "concurrent queries: %d readers + 1 writer, %.0f queries/sec aggregate (%.4f allocs/query)\n",
-		rep.Readers, rep.QueriesPerSec, rep.AllocsPerQuery)
-	fmt.Fprintf(&b, "hit rate: %.4f on in-distribution probes; out-of-core/noise (%d probes): %.4f\n",
-		rep.HitRate, rep.NoiseQueries, rep.NoiseHitRate)
-	fmt.Fprintf(&b, "writer sustained %.0f points/sec while serving\n", rep.WriterPointsPerSec)
-	return b.String()
-}
-
 func formatDuration(d time.Duration) string {
 	switch {
 	case d == 0:

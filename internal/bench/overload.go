@@ -96,7 +96,7 @@ type OverloadReport struct {
 // server stamps its own monotone stream clock), so the writers can
 // cycle them indefinitely.
 func overloadBodies(seed int64, rate float64) ([][]byte, error) {
-	pts := ServeStream(64*overloadPtsPerReq, seed, rate)
+	pts := LatticeStream(64*overloadPtsPerReq, seed, rate)
 	type wirePt struct {
 		Vector []float64 `json:"vector"`
 	}
@@ -390,7 +390,7 @@ func overloadWriter(client *http.Client, url string, bodies [][]byte, seed int64
 				res.shed503.Add(1)
 			}
 			attempt++
-			time.Sleep(backoffDelay(attempt, 2*time.Millisecond, 10*time.Millisecond, rng))
+			time.Sleep(wal.RetryPolicy{BaseDelay: 2 * time.Millisecond, MaxDelay: 10 * time.Millisecond}.Backoff(attempt + 1))
 		default:
 			return fmt.Errorf("bench: overload ingest status %d: %s", status, raw)
 		}
@@ -415,7 +415,7 @@ func overloadClosedLoop(client *http.Client, url string, bodies [][]byte, n int,
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			polite := shedRetry{attempts: 8, base: 5 * time.Millisecond, max: 250 * time.Millisecond, rng: rand.New(rand.NewSource(int64(w) + 101))}
+			polite := shedRetry{wal.RetryPolicy{MaxAttempts: 8, BaseDelay: 5 * time.Millisecond, MaxDelay: 250 * time.Millisecond}}
 			for i := 0; ; i++ {
 				select {
 				case <-stop:

@@ -2,11 +2,9 @@ package bench
 
 import (
 	"encoding/json"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 // TestRunOverloadSmoke runs the full overload chaos drill: a child
@@ -68,38 +66,5 @@ func TestRunOverloadSmoke(t *testing.T) {
 	}
 	if back.RecoveredPoints != rep.RecoveredPoints || back.Schema != rep.Schema {
 		t.Errorf("artifact round-trip mismatch: %+v", back)
-	}
-}
-
-// TestBackoffDelayBounds pins the shared backoff helper's envelope:
-// monotone non-decreasing cap, jitter within [d/2, d], zero-safe.
-func TestBackoffDelayBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	base, max := 10*time.Millisecond, 200*time.Millisecond
-	prevCap := time.Duration(0)
-	for attempt := 0; attempt < 10; attempt++ {
-		cap := base
-		for i := 0; i < attempt && cap < max; i++ {
-			cap *= 2
-		}
-		if cap > max {
-			cap = max
-		}
-		if cap < prevCap {
-			t.Fatalf("cap shrank at attempt %d", attempt)
-		}
-		prevCap = cap
-		for trial := 0; trial < 100; trial++ {
-			d := backoffDelay(attempt, base, max, rng)
-			if d < cap/2 || d > cap {
-				t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d, cap/2, cap)
-			}
-		}
-	}
-	if d := backoffDelay(3, 0, 0, rng); d != 0 {
-		t.Errorf("zero base/max must yield 0, got %v", d)
-	}
-	if d := backoffDelay(5, time.Millisecond, 100*time.Millisecond, nil); d <= 0 {
-		t.Errorf("nil rng must still produce a positive delay, got %v", d)
 	}
 }

@@ -5,10 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"time"
+
+	"github.com/densitymountain/edmstream/internal/wal"
 )
 
 // Shared HTTP retry/backoff for the drills' clients. The retry contract
@@ -51,28 +52,6 @@ func parseShed(status int, header http.Header, body []byte) *shedReply {
 	return s
 }
 
-// backoffDelay is the jittered exponential backoff every bench client
-// shares: base doubled per attempt, capped at max, jittered into
-// [d/2, d] so synchronized clients decorrelate. A nil rng falls back
-// to the goroutine-safe global source.
-func backoffDelay(attempt int, base, max time.Duration, rng *rand.Rand) time.Duration {
-	d := base
-	for i := 0; i < attempt && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	if d <= 0 {
-		return 0
-	}
-	jitter := int64(d/2) + 1
-	if rng != nil {
-		return d/2 + time.Duration(rng.Int63n(jitter))
-	}
-	return d/2 + time.Duration(rand.Int63n(jitter))
-}
-
 // doRequest issues one request (a nil body for a GET) and drains the
 // response, returning status, headers and body.
 func doRequest(client *http.Client, method, url string, body []byte) (int, http.Header, []byte, error) {
@@ -95,17 +74,13 @@ func doRequest(client *http.Client, method, url string, body []byte) (int, http.
 	return resp.StatusCode, resp.Header, raw, nil
 }
 
-// shedRetry is a client's retry budget for shed responses: attempts
-// tries, with the shared backoff from base to max between them.
-type shedRetry struct {
-	attempts  int
-	base, max time.Duration
-	rng       *rand.Rand // nil: the goroutine-safe global source
-}
+// shedRetry is a client's retry budget for shed responses: MaxAttempts
+// tries, with the policy's jittered exponential backoff between them.
+type shedRetry struct{ wal.RetryPolicy }
 
 // politeRetry is the budget of every drill client that is not
 // deliberately overloading the server.
-var politeRetry = shedRetry{attempts: 8, base: 10 * time.Millisecond, max: time.Second}
+var politeRetry = shedRetry{wal.RetryPolicy{MaxAttempts: 8, BaseDelay: 10 * time.Millisecond, MaxDelay: time.Second}}
 
 // post POSTs body until a 200.
 func (r shedRetry) post(client *http.Client, url string, body []byte) error {
@@ -119,14 +94,14 @@ func (r shedRetry) get(client *http.Client, url string) ([]byte, error) {
 }
 
 // do sends the request until a 200, retrying shed responses with the
-// shared backoff (preferring the server's Retry-After hint when it is
+// backoff (preferring the server's Retry-After hint when it is
 // under the cap) and failing on anything else.
 func (r shedRetry) do(client *http.Client, method, url string, body []byte) ([]byte, error) {
 	var last *shedReply
-	for attempt := 0; attempt < r.attempts; attempt++ {
+	for attempt := 0; attempt < r.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			delay := backoffDelay(attempt, r.base, r.max, r.rng)
-			if hint := time.Duration(last.RetryAfterSeconds) * time.Second; hint > delay && hint <= r.max {
+			delay := r.Backoff(attempt + 1)
+			if hint := time.Duration(last.RetryAfterSeconds) * time.Second; hint > delay && hint <= r.MaxDelay {
 				delay = hint
 			}
 			time.Sleep(delay)
@@ -142,7 +117,7 @@ func (r shedRetry) do(client *http.Client, method, url string, body []byte) ([]b
 			return nil, fmt.Errorf("bench: %s %s status %d: %s", method, url, status, raw)
 		}
 	}
-	return nil, fmt.Errorf("bench: %s %s still shed after %d attempts (last: %d %s)", method, url, r.attempts, last.Status, last.Reason)
+	return nil, fmt.Errorf("bench: %s %s still shed after %d attempts (last: %d %s)", method, url, r.MaxAttempts, last.Status, last.Reason)
 }
 
 // waitUntil polls cond every interval until it reports done, the

@@ -113,7 +113,7 @@ func tenantWorkload(s Scale) (batches int, bodies [][][]byte, pts [][]stream.Poi
 	bodies = make([][][]byte, tenantStreams)
 	pts = make([][]stream.Point, tenantStreams)
 	for i := 0; i < tenantStreams; i++ {
-		pts[i] = ServeStream(perStream, s.Seed+int64(i), s.Rate)
+		pts[i] = LatticeStream(perStream, s.Seed+int64(i), s.Rate)
 		bodies[i], err = drillBodies(pts[i])
 		if err != nil {
 			return 0, nil, nil, err

@@ -2,58 +2,28 @@ package bench
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"net/http"
 	"os"
 	"runtime"
-	"sync"
 	"sync/atomic"
-	"time"
 
-	"github.com/densitymountain/edmstream"
 	"github.com/densitymountain/edmstream/internal/server"
 	"github.com/densitymountain/edmstream/internal/stream"
 )
 
-// This file holds the durability experiment: what the WAL's
-// fsync-before-ack costs, and what it buys. Phase one measures ingest
-// throughput through durable edmserved instances with the fsync on
-// and off (WALNoSync), so the group-commit amortization of the
-// coalescer is machine-readable across revisions (BENCH_wal.json).
-// Phase two is the crash drill: a child edmserved process is SIGKILLed
-// mid-traffic, restarted on the same WAL directory, and must come back
-// holding every acknowledged point — verified byte-for-byte against a
-// fresh engine fed the same prefix, which only determinism plus the
-// checkpoint+replay equivalence (internal/wal, internal/server tests)
-// make possible.
+// This file holds the durability drill: a child edmserved process is
+// SIGKILLed mid-traffic, restarted on the same WAL directory, and must
+// come back holding every acknowledged point — verified byte-for-byte
+// against a fresh engine fed the same prefix, which only determinism
+// plus the checkpoint+replay equivalence (internal/wal, internal/server
+// tests) make possible. What the fsync costs is measured by the
+// benchmark/ module's ingest-wal workload.
 
-const (
-	// walWriters is the concurrent HTTP writer count of the
-	// throughput phase; concurrency is what lets one fsync cover
-	// several requests (group commit through the coalescer).
-	walWriters = 2
-	// walCheckpointEvery keeps the checkpoint cadence dense enough
-	// that the kill lands between checkpoints and recovery exercises
-	// both the checkpoint restore and the tail replay.
-	walCheckpointEvery = 1000
-)
-
-// WALThroughputResult is one durability mode's ingest measurement.
-type WALThroughputResult struct {
-	// Mode is "fsync" (the default durable path: every acknowledged
-	// batch is on disk) or "nosync" (WALNoSync: the log is written
-	// but acknowledgments do not wait for the disk).
-	Mode           string  `json:"mode"`
-	Points         int64   `json:"points"`
-	WallSeconds    float64 `json:"wall_seconds"`
-	PointsPerSec   float64 `json:"points_per_sec"`
-	WALRecords     uint64  `json:"wal_records"`
-	WALBytes       uint64  `json:"wal_bytes"`
-	Checkpoints    uint64  `json:"checkpoints"`
-	FsyncP50Micros float64 `json:"fsync_p50_micros"`
-	FsyncP99Micros float64 `json:"fsync_p99_micros"`
-}
+// walCheckpointEvery keeps the checkpoint cadence dense enough that
+// the kill lands between checkpoints and recovery exercises both the
+// checkpoint restore and the tail replay.
+const walCheckpointEvery = 1000
 
 // WALKillResult is the outcome of the kill-and-restart drill.
 type WALKillResult struct {
@@ -83,160 +53,47 @@ type WALKillResult struct {
 	DrainRestartIdentical bool `json:"drain_restart_identical"`
 }
 
-// WALReport is the JSON-serializable outcome of the experiment.
+// WALReport is the JSON-serializable outcome of the drill.
 type WALReport struct {
-	Schema      string                `json:"schema"`
-	Points      int                   `json:"points"`
-	Seed        int64                 `json:"seed"`
-	Rate        float64               `json:"rate"`
-	IngestBatch int                   `json:"ingest_batch"`
-	Throughput  []WALThroughputResult `json:"throughput"`
-	// NoSyncSpeedup is nosync over fsync points/sec: the price of the
-	// durability guarantee on this machine's disk.
-	NoSyncSpeedup float64       `json:"nosync_speedup"`
-	Kill          WALKillResult `json:"kill_restart"`
-	GOMAXPROCS    int           `json:"gomaxprocs"`
-	NumCPU        int           `json:"num_cpu"`
+	Schema      string        `json:"schema"`
+	Points      int           `json:"points"`
+	Seed        int64         `json:"seed"`
+	Rate        float64       `json:"rate"`
+	IngestBatch int           `json:"ingest_batch"`
+	Kill        WALKillResult `json:"kill_restart"`
+	GOMAXPROCS  int           `json:"gomaxprocs"`
+	NumCPU      int           `json:"num_cpu"`
 }
 
-// RunWAL measures the durable ingest path and runs the kill-and-
-// restart drill. s.Points is the measured ingest volume per
-// throughput mode (rounded down to whole batches) and the traffic
-// pool of the drill.
+// RunWAL runs the kill-and-restart drill. s.Points, rounded down to
+// whole batches, is the traffic sent after the warm-up; the kill lands
+// halfway through it.
 func RunWAL(s Scale) (WALReport, error) {
 	const liveBatches = 2
 	measuredBatches := s.Points / drillBatch
 	if measuredBatches < 4 {
-		return WALReport{}, fmt.Errorf("bench: the wal experiment needs at least %d points, got %d", 4*drillBatch, s.Points)
+		return WALReport{}, fmt.Errorf("bench: the wal drill needs at least %d points, got %d", 4*drillBatch, s.Points)
 	}
 	warmupBatches := drillWarmup / drillBatch
 	total := (warmupBatches + measuredBatches + liveBatches) * drillBatch
-	pts := ServeStream(total, s.Seed, s.Rate)
+	pts := LatticeStream(total, s.Seed, s.Rate)
 	bodies, err := drillBodies(pts)
 	if err != nil {
 		return WALReport{}, err
 	}
-
-	rep := WALReport{
-		Schema:      "edmstream-wal/v1",
-		Points:      measuredBatches * drillBatch,
-		Seed:        s.Seed,
-		Rate:        s.Rate,
-		IngestBatch: drillBatch,
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-	}
-	for _, noSync := range []bool{false, true} {
-		res, err := runWALThroughput(noSync, s, bodies[:warmupBatches+measuredBatches], warmupBatches)
-		if err != nil {
-			return WALReport{}, err
-		}
-		rep.Throughput = append(rep.Throughput, res)
-	}
-	if rep.Throughput[0].PointsPerSec > 0 {
-		rep.NoSyncSpeedup = rep.Throughput[1].PointsPerSec / rep.Throughput[0].PointsPerSec
-	}
-
 	kill, err := runWALKill(s, pts, bodies, warmupBatches, liveBatches)
 	if err != nil {
 		return WALReport{}, err
 	}
-	rep.Kill = kill
-	return rep, nil
-}
-
-// runWALThroughput drives one durable in-process server with
-// concurrent writers and reports the measured ingest rate plus the
-// server's WAL accounting.
-func runWALThroughput(noSync bool, s Scale, bodies [][]byte, warmupBatches int) (WALThroughputResult, error) {
-	mode := "fsync"
-	if noSync {
-		mode = "nosync"
-	}
-	dir, err := os.MkdirTemp("", "edmbench-wal-")
-	if err != nil {
-		return WALThroughputResult{}, err
-	}
-	defer os.RemoveAll(dir)
-
-	c, err := edmstream.New(walOptions(s.Rate))
-	if err != nil {
-		return WALThroughputResult{}, fmt.Errorf("bench: building clusterer: %w", err)
-	}
-	srv, err := server.New(c, server.Config{
-		Addr:            "127.0.0.1:0",
-		DataDir:         dir,
-		WALNoSync:       noSync,
-		CheckpointEvery: walCheckpointEvery,
-	})
-	if err != nil {
-		return WALThroughputResult{}, fmt.Errorf("bench: building %s server: %w", mode, err)
-	}
-	if err := srv.Start(); err != nil {
-		return WALThroughputResult{}, fmt.Errorf("bench: starting %s server: %w", mode, err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	}()
-	base := "http://" + srv.Addr()
-	client := &http.Client{Transport: &http.Transport{
-		MaxIdleConns:        walWriters + 2,
-		MaxIdleConnsPerHost: walWriters + 2,
-	}}
-
-	for b := 0; b < warmupBatches; b++ {
-		if err := politeRetry.post(client, base+"/v1/ingest", bodies[b]); err != nil {
-			return WALThroughputResult{}, fmt.Errorf("bench: %s warm-up: %w", mode, err)
-		}
-	}
-
-	measured := bodies[warmupBatches:]
-	var firstErr atomic.Value // error
-	var npts atomic.Int64
-	var wg sync.WaitGroup
-	begin := time.Now()
-	for w := 0; w < walWriters; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for b := w; b < len(measured); b += walWriters {
-				if err := politeRetry.post(client, base+"/v1/ingest", measured[b]); err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					return
-				}
-				npts.Add(drillBatch)
-			}
-		}(w)
-	}
-	wg.Wait()
-	wall := time.Since(begin)
-	if err, _ := firstErr.Load().(error); err != nil {
-		return WALThroughputResult{}, fmt.Errorf("bench: %s ingest: %w", mode, err)
-	}
-
-	st, err := fetchStats(client, base+"/v1/stats")
-	if err != nil {
-		return WALThroughputResult{}, err
-	}
-	d := st.Server.Durability
-	if d == nil {
-		return WALThroughputResult{}, fmt.Errorf("bench: %s server reports no durability section — WAL not wired in", mode)
-	}
-	if d.NoSync != noSync {
-		return WALThroughputResult{}, fmt.Errorf("bench: %s server reports no_sync=%v", mode, d.NoSync)
-	}
-	return WALThroughputResult{
-		Mode:           mode,
-		Points:         npts.Load(),
-		WallSeconds:    wall.Seconds(),
-		PointsPerSec:   float64(npts.Load()) / wall.Seconds(),
-		WALRecords:     d.Records,
-		WALBytes:       d.Bytes,
-		Checkpoints:    d.Checkpoints,
-		FsyncP50Micros: d.FsyncP50Sec * 1e6,
-		FsyncP99Micros: d.FsyncP99Sec * 1e6,
+	return WALReport{
+		Schema:      "edmstream-wal/v2",
+		Points:      measuredBatches * drillBatch,
+		Seed:        s.Seed,
+		Rate:        s.Rate,
+		IngestBatch: drillBatch,
+		Kill:        kill,
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		NumCPU:      runtime.NumCPU(),
 	}, nil
 }
 
@@ -369,19 +226,11 @@ func runWALKill(s Scale, pts []stream.Point, bodies [][]byte, warmupBatches, liv
 // FormatWAL renders the report for the terminal.
 func FormatWAL(rep WALReport) string {
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "Durability: WAL fsync-before-ack cost and kill-and-restart recovery\n")
-	fmt.Fprintf(&b, "  (gomaxprocs %d, %d CPUs, %d writers, %d-point batches, checkpoint every %d points)\n",
-		rep.GOMAXPROCS, rep.NumCPU, walWriters, rep.IngestBatch, walCheckpointEvery)
-	fmt.Fprintf(&b, "%-8s %10s %9s %12s %12s %10s %22s\n",
-		"mode", "points", "wall(s)", "points/sec", "wal records", "wal MiB", "fsync p50/p99 (us)")
-	for _, t := range rep.Throughput {
-		fmt.Fprintf(&b, "%-8s %10d %9.2f %12.0f %12d %10.2f %11.0f/%-10.0f\n",
-			t.Mode, t.Points, t.WallSeconds, t.PointsPerSec,
-			t.WALRecords, float64(t.WALBytes)/(1<<20), t.FsyncP50Micros, t.FsyncP99Micros)
-	}
-	fmt.Fprintf(&b, "nosync/fsync speedup: %.2fx (what the durability guarantee costs on this disk)\n", rep.NoSyncSpeedup)
 	k := rep.Kill
-	fmt.Fprintf(&b, "kill-and-restart: SIGKILL mid-traffic, restart on the same WAL directory\n")
+	fmt.Fprintf(&b, "Durability: kill-and-restart recovery\n")
+	fmt.Fprintf(&b, "  (gomaxprocs %d, %d CPUs, %d-point batches, checkpoint every %d points)\n",
+		rep.GOMAXPROCS, rep.NumCPU, rep.IngestBatch, walCheckpointEvery)
+	fmt.Fprintf(&b, "SIGKILL mid-traffic, restart on the same WAL directory\n")
 	fmt.Fprintf(&b, "  acked %d points before the kill; recovered %d (checkpoint %v + %d replayed records)\n",
 		k.AckedPoints, k.RecoveredPoints, k.HasCheckpoint, k.ReplayedRecords)
 	fmt.Fprintf(&b, "  recovered clustering byte-identical to an uninterrupted run: %v\n", k.SnapshotIdentical)

@@ -429,28 +429,6 @@ func (e *EDMStream) restore(st *ckptState) error {
 		e.probes[c.slot] = probe{dist: cc.LastDist, stamp: cc.LastDistStamp}
 	}
 
-	// Pass 2: wire dependency links and children (slice order
-	// preserved — it drives extraction walk order).
-	for i := range st.Cells {
-		cc := &st.Cells[i]
-		c := byID[cc.ID]
-		if cc.DepID >= 0 {
-			dep := byID[cc.DepID]
-			if dep == nil {
-				return fmt.Errorf("core: cell %d depends on missing cell %d", cc.ID, cc.DepID)
-			}
-			c.dep = dep
-		}
-		for _, childID := range cc.ChildIDs {
-			child := byID[childID]
-			if child == nil {
-				return fmt.Errorf("core: cell %d lists missing child %d", cc.ID, childID)
-			}
-			child.childIdx = len(c.children)
-			c.children = append(c.children, child)
-		}
-	}
-
 	// Active cells in list order (the order the adaptive-τ retune and
 	// the full extraction iterate in); everything else parks in the
 	// reservoir.
@@ -459,10 +437,65 @@ func (e *EDMStream) restore(st *ckptState) error {
 		if c == nil {
 			return fmt.Errorf("core: active list names missing cell %d", id)
 		}
+		if c.active {
+			return fmt.Errorf("core: active list repeats cell %d", id)
+		}
 		c.active = true
 		c.treeIdx = i
 		e.tree.list = append(e.tree.list, c)
 		e.tree.densInsert(c)
+	}
+
+	// Pass 2: wire dependency links, then children (slice order
+	// preserved — it drives extraction walk order). Only active cells
+	// link, and a dependency must outrank its cell at the restored
+	// clock, the rule every link is made by: that also rules out a
+	// cycle, which peakOf's walk up the tree would never leave.
+	links := 0
+	for i := range st.Cells {
+		cc := &st.Cells[i]
+		c := byID[cc.ID]
+		if cc.DepID < 0 {
+			if c.active && !math.IsInf(c.delta, 1) {
+				return fmt.Errorf("core: root cell %d has finite dependent distance %v", cc.ID, c.delta)
+			}
+			continue
+		}
+		dep := byID[cc.DepID]
+		switch {
+		case dep == nil:
+			return fmt.Errorf("core: cell %d depends on missing cell %d", cc.ID, cc.DepID)
+		case !c.active || !dep.active:
+			return fmt.Errorf("core: cell %d depends on cell %d outside the DP-Tree", cc.ID, cc.DepID)
+		case !higherRanked(dep, c, e.now, e.cfg.Decay):
+			return fmt.Errorf("core: cell %d depends on cell %d, which does not outrank it", cc.ID, cc.DepID)
+		case !(c.delta >= 0):
+			return fmt.Errorf("core: cell %d has dependent distance %v", cc.ID, c.delta)
+		}
+		c.dep = dep
+		links++
+	}
+	for i := range st.Cells {
+		cc := &st.Cells[i]
+		c := byID[cc.ID]
+		for _, childID := range cc.ChildIDs {
+			child := byID[childID]
+			if child == nil {
+				return fmt.Errorf("core: cell %d lists missing child %d", cc.ID, childID)
+			}
+			// An unplaced child still has childIdx 0, where another
+			// child or nothing sits.
+			placed := child.childIdx < len(c.children) && c.children[child.childIdx] == child
+			if child.dep != c || placed {
+				return fmt.Errorf("core: cell %d lists child %d, which does not depend on it once", cc.ID, childID)
+			}
+			child.childIdx = len(c.children)
+			c.children = append(c.children, child)
+			links--
+		}
+	}
+	if links != 0 {
+		return fmt.Errorf("core: %d dependency links missing from their cells' child lists", links)
 	}
 	for i := range st.Cells {
 		if c := byID[st.Cells[i].ID]; !c.active {

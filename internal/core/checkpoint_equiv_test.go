@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/densitymountain/edmstream/internal/distance"
@@ -299,5 +301,113 @@ func TestCheckpointCorruption(t *testing.T) {
 		if _, err := DecodeCheckpoint(cfg, bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("DecodeCheckpoint accepted a checkpoint truncated to %d bytes", cut)
 		}
+	}
+}
+
+// TestCheckpointRejectsInconsistentState re-encodes a real
+// checkpoint's state with one structural fault at a time, with a valid
+// CRC, and requires DecodeCheckpoint to refuse it. A dependency cycle
+// among strong links would otherwise hang peakOf on the first
+// extraction after recovery.
+func TestCheckpointRejectsInconsistentState(t *testing.T) {
+	pts := burstyStream(13, 800, 2, 0.2)
+	cfg := Config{Radius: 0.8, Tau: 2.5, InitPoints: 200,
+		EvolutionInterval: 0.25, SweepInterval: 0.2}
+	e, _ := batchRun(t, cfg, pts, 100, 400)
+	var buf bytes.Buffer
+	if err := e.EncodeCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	payload := buf.Bytes()[20:]
+	decode := func() *ckptState {
+		var st ckptState
+		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return &st
+	}
+
+	// A child c whose dependency d is not the root, and an active cell
+	// ranked below c that is not c's dependency.
+	st := decode()
+	at := map[int64]int{}
+	for i, cc := range st.Cells {
+		at[cc.ID] = i
+	}
+	density := func(id int64) float64 {
+		cc := st.Cells[at[id]]
+		return e.cfg.Decay.Scale(cc.Rho, st.Now, cc.RhoTime)
+	}
+	c, d, low := -1, -1, int64(-1)
+	for i, cc := range st.Cells {
+		if cc.DepID >= 0 && st.Cells[at[cc.DepID]].DepID >= 0 {
+			c, d = i, at[cc.DepID]
+			break
+		}
+	}
+	if c < 0 {
+		t.Fatal("no two-level dependency chain in the checkpoint")
+	}
+	for _, id := range st.ActiveIDs {
+		if density(id) < density(st.Cells[c].ID) {
+			low = id
+			break
+		}
+	}
+	if low < 0 {
+		t.Fatal("no active cell ranked below the child")
+	}
+	cID, dID := st.Cells[c].ID, st.Cells[d].ID
+
+	for _, tc := range []struct {
+		name, want string
+		fault      func(st *ckptState)
+	}{
+		{"no-fault", "", func(*ckptState) {}},
+		{"repeated-active-id", "repeats cell", func(st *ckptState) {
+			st.ActiveIDs = append(st.ActiveIDs, st.ActiveIDs[0])
+		}},
+		{"strong-cycle", "does not outrank", func(st *ckptState) {
+			st.Cells[d].DepID, st.Cells[d].Delta = cID, st.Cells[c].Delta
+			st.Cells[c].ChildIDs = append(st.Cells[c].ChildIDs, dID)
+		}},
+		{"dependency-ranked-below", "does not outrank", func(st *ckptState) {
+			st.Cells[c].DepID = low
+		}},
+		{"child-of-another-cell", "does not depend on it", func(st *ckptState) {
+			st.Cells[at[low]].ChildIDs = append(st.Cells[at[low]].ChildIDs, cID)
+		}},
+		{"child-listed-twice", "does not depend on it once", func(st *ckptState) {
+			st.Cells[d].ChildIDs = append(st.Cells[d].ChildIDs, cID)
+		}},
+		{"child-unlisted", "missing from their cells' child lists", func(st *ckptState) {
+			kids := st.Cells[d].ChildIDs
+			for i, id := range kids {
+				if id == cID {
+					st.Cells[d].ChildIDs = append(kids[:i:i], kids[i+1:]...)
+					break
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := decode()
+			tc.fault(st)
+			var body bytes.Buffer
+			if err := gob.NewEncoder(&body).Encode(st); err != nil {
+				t.Fatal(err)
+			}
+			img, _ := engineImage(append(append([]byte(nil), buf.Bytes()[:20]...), body.Bytes()...))
+			_, err := DecodeCheckpoint(cfg, bytes.NewReader(img))
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("the re-encoded checkpoint does not decode: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("DecodeCheckpoint = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }

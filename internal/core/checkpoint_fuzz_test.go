@@ -78,8 +78,9 @@ func engineImage(data []byte) ([]byte, bool) {
 
 // FuzzDecodeCheckpoint feeds DecodeCheckpoint mutated checkpoints.
 // Decoding must never panic, whatever the bytes; a checkpoint it
-// accepts must encode again, and an unmutated seed must restore into
-// an engine that writes the same bytes back.
+// accepts must restore an engine that passes CheckInvariants and
+// encodes again, and an unmutated seed must restore into an engine
+// that writes the same bytes back.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	e, err := New(fuzzCkptConfig)
 	if err != nil {
@@ -106,6 +107,9 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		e, err := DecodeCheckpoint(fuzzCkptConfig, bytes.NewReader(img))
 		if err != nil {
 			return
+		}
+		if err := e.CheckInvariants(); err != nil {
+			t.Fatalf("an accepted checkpoint restores an inconsistent engine: %v", err)
 		}
 		var again bytes.Buffer
 		if err := e.EncodeCheckpoint(&again); err != nil {

@@ -202,6 +202,19 @@ func TestStatsReportsDurability(t *testing.T) {
 	if d.Recovery.HasCheckpoint || d.Recovery.RecordsReplayed != 0 {
 		t.Fatalf("fresh dir should recover nothing: %+v", d.Recovery)
 	}
+	if d.NoSync || d.FsyncP50Sec <= 0 {
+		t.Fatalf("fsynced server reports no_sync=%v, fsync p50 %vs", d.NoSync, d.FsyncP50Sec)
+	}
+
+	// With WALNoSync the log is still written, and the section says
+	// the acks do not wait for the disk.
+	_, _, baseNoSync := startServer(t, testOptions(), Config{DataDir: t.TempDir(), WALNoSync: true})
+	postJSON(t, baseNoSync+"/v1/ingest", twoBlobPoints(50, 2), &ack)
+	var statsNoSync statsResponse
+	getJSON(t, baseNoSync+"/v1/stats", &statsNoSync)
+	if d := statsNoSync.Server.Durability; d == nil || !d.NoSync || d.Records == 0 || d.Bytes == 0 {
+		t.Fatalf("WALNoSync server durability stats: %+v", d)
+	}
 
 	_, _, base2 := startServer(t, testOptions(), Config{})
 	var stats2 statsResponse

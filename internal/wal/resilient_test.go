@@ -156,7 +156,9 @@ func TestResilientExhaustsOnStickyFault(t *testing.T) {
 }
 
 // TestRetryPolicyBackoffBounds: the jittered backoff stays within
-// [d/2, d] of the capped exponential schedule.
+// [d/2, d] of the capped exponential schedule, and a policy with a
+// zero base and cap (Backoff reads the fields as given, without
+// withDefaults) never sleeps.
 func TestRetryPolicyBackoffBounds(t *testing.T) {
 	p := RetryPolicy{BaseDelay: 8 * time.Millisecond, MaxDelay: 50 * time.Millisecond}.withDefaults()
 	want := []time.Duration{8, 16, 32, 50, 50} // ms, pre-jitter, capped
@@ -168,6 +170,9 @@ func TestRetryPolicyBackoffBounds(t *testing.T) {
 				t.Fatalf("Backoff(%d) = %v outside [%v, %v]", i+1, got, w/2, w)
 			}
 		}
+	}
+	if got := (RetryPolicy{}).Backoff(4); got != 0 {
+		t.Errorf("zero base/max: Backoff(4) = %v, want 0", got)
 	}
 }
 
