@@ -30,8 +30,9 @@ func New(opts Options) (*Clusterer, error) {
 }
 
 // Insert consumes one stream point. Points must carry either a numeric
-// vector or a token set, and a non-negative timestamp; invalid points
-// are rejected without changing the clusterer's state.
+// vector or a token set, and a non-negative timestamp; every vector
+// must have the dimensionality the stream's first vector fixed.
+// Invalid points are rejected without changing the clusterer's state.
 func (c *Clusterer) Insert(p Point) error { return c.core.Insert(p) }
 
 // InsertBatch consumes a batch of stream points in order. It produces

@@ -409,11 +409,16 @@ func (e *EDMStream) restore(st *ckptState) error {
 	// ties toward the lowest cell ID, so insertion order (and the slots
 	// the cells receive) is not observable. byID resolves the IDs the
 	// checkpoint names for the rest of the restore.
+	// The vector dimensionality is re-derived, not stored: the first
+	// numeric seed fixes the seed column's width (see admit).
 	byID := make(map[int64]*Cell, len(st.Cells))
 	for i := range st.Cells {
 		cc := &st.Cells[i]
 		if byID[cc.ID] != nil {
 			return fmt.Errorf("core: checkpoint repeats cell %d", cc.ID)
+		}
+		if v, dim := cc.Seed.Vector, e.seeds.Dim(); v != nil && dim >= 0 && len(v) != dim {
+			return fmt.Errorf("core: cell %d has a %d-d seed on a %d-d stream", cc.ID, len(v), dim)
 		}
 		c := &Cell{
 			id:         cc.ID,
@@ -431,7 +436,10 @@ func (e *EDMStream) restore(st *ckptState) error {
 
 	// Active cells in list order (the order the adaptive-τ retune and
 	// the full extraction iterate in); everything else parks in the
-	// reservoir.
+	// reservoir. top holds the highest-ranked active cell of each metric
+	// space (keyed by IsText): any other cell has an outranking cell at
+	// finite distance to depend on, so only top may be a root.
+	top := map[bool]*Cell{}
 	for i, id := range st.ActiveIDs {
 		c := byID[id]
 		if c == nil {
@@ -444,6 +452,9 @@ func (e *EDMStream) restore(st *ckptState) error {
 		c.treeIdx = i
 		e.tree.list = append(e.tree.list, c)
 		e.tree.densInsert(c)
+		if t := top[c.seed.IsText()]; t == nil || higherRanked(c, t, e.now, e.cfg.Decay) {
+			top[c.seed.IsText()] = c
+		}
 	}
 
 	// Pass 2: wire dependency links, then children (slice order
@@ -458,6 +469,9 @@ func (e *EDMStream) restore(st *ckptState) error {
 		if cc.DepID < 0 {
 			if c.active && !math.IsInf(c.delta, 1) {
 				return fmt.Errorf("core: root cell %d has finite dependent distance %v", cc.ID, c.delta)
+			}
+			if t := top[c.seed.IsText()]; c.active && c != t {
+				return fmt.Errorf("core: root cell %d is outranked by cell %d", cc.ID, t.id)
 			}
 			continue
 		}
@@ -568,6 +582,9 @@ func (e *EDMStream) restore(st *ckptState) error {
 				CellIDs:     kci.CellIDs,
 				Weight:      kci.Weight,
 				Points:      kci.Points,
+			}
+			if len(kci.SeedPoints) != len(kci.CellIDs) {
+				return fmt.Errorf("core: snapshot cluster %d has %d seeds for %d cells", kci.ID, len(kci.SeedPoints), len(kci.CellIDs))
 			}
 			for _, p := range kci.SeedPoints {
 				ci.SeedPoints = append(ci.SeedPoints, p.point())

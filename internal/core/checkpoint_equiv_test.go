@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -379,6 +381,15 @@ func TestCheckpointRejectsInconsistentState(t *testing.T) {
 		}},
 		{"child-listed-twice", "does not depend on it once", func(st *ckptState) {
 			st.Cells[d].ChildIDs = append(st.Cells[d].ChildIDs, cID)
+		}},
+		{"extra-root", "is outranked by cell", func(st *ckptState) {
+			st.Cells[c].DepID, st.Cells[c].Delta = -1, math.Inf(1)
+			kids := st.Cells[d].ChildIDs
+			st.Cells[d].ChildIDs = slices.DeleteFunc(slices.Clone(kids), func(id int64) bool { return id == cID })
+		}},
+		{"snapshot-seed-missing", "seeds for", func(st *ckptState) {
+			cl := &st.Snapshot.Clusters[0]
+			cl.SeedPoints = cl.SeedPoints[:len(cl.SeedPoints)-1]
 		}},
 		{"child-unlisted", "missing from their cells' child lists", func(st *ckptState) {
 			kids := st.Cells[d].ChildIDs

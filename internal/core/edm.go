@@ -360,13 +360,8 @@ func (e *EDMStream) ReservoirBound() float64 {
 
 // Insert consumes one stream point. Implements stream.Clusterer.
 func (e *EDMStream) Insert(p stream.Point) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
 	e.one[0] = p
-	e.ingest(e.one[:])
-	e.publishStats()
-	return nil
+	return e.InsertBatch(e.one[:])
 }
 
 // InsertBatch consumes a batch of stream points in order. It is
@@ -379,13 +374,12 @@ func (e *EDMStream) Insert(p stream.Point) error {
 // routed to its nearest seed by the same serial probe Insert uses, on
 // the calling goroutine.
 //
-// Validation is all-or-nothing: if any point is invalid the whole
+// Validation is all-or-nothing: if any point is invalid (malformed, or
+// a vector of another dimensionality than the stream's) the whole
 // batch is rejected with no state change. An empty batch is a no-op.
 func (e *EDMStream) InsertBatch(pts []stream.Point) error {
-	for i := range pts {
-		if err := pts[i].Validate(); err != nil {
-			return fmt.Errorf("core: batch point %d rejected: %w", i, err)
-		}
+	if err := e.admit(pts); err != nil {
+		return err
 	}
 	e.ingest(pts)
 	e.publishStats()
@@ -407,10 +401,8 @@ func (e *EDMStream) InsertBatch(pts []stream.Point) error {
 // this call to hand each coalesced ingest request its per-point acks.
 func (e *EDMStream) InsertBatchAssigned(pts []stream.Point, dst []int64) ([]int64, error) {
 	dst = dst[:0]
-	for i := range pts {
-		if err := pts[i].Validate(); err != nil {
-			return dst, fmt.Errorf("core: batch point %d rejected: %w", i, err)
-		}
+	if err := e.admit(pts); err != nil {
+		return dst, err
 	}
 	if cap(dst) < len(pts) {
 		dst = make([]int64, 0, len(pts))
@@ -420,6 +412,29 @@ func (e *EDMStream) InsertBatchAssigned(pts []stream.Point, dst []int64) ([]int6
 	e.acks = nil
 	e.publishStats()
 	return dst, nil
+}
+
+// admit validates a batch all-or-nothing, before any of it is applied.
+// Every point must be well formed, and every vector must match the
+// stream's dimensionality: the seed column's width, which the first
+// vector ever ingested fixes. Token sets are admitted beside vectors.
+func (e *EDMStream) admit(pts []stream.Point) error {
+	dim := e.seeds.Dim()
+	for i := range pts {
+		err := pts[i].Validate()
+		if v := pts[i].Vector; err == nil && v != nil {
+			if dim < 0 {
+				dim = len(v)
+			}
+			if len(v) != dim {
+				err = fmt.Errorf("%d-d vector on a %d-d stream", len(v), dim)
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("core: point %d of %d rejected: %w", i, len(pts), err)
+		}
+	}
+	return nil
 }
 
 // absorbRun tracks a run of consecutive points absorbed by the same

@@ -1,8 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/densitymountain/edmstream/internal/distance"
@@ -510,6 +516,141 @@ func TestInsertErrors(t *testing.T) {
 	}
 	if got := e.Stats().Points; got != 0 {
 		t.Errorf("rejected points must not be counted, got %d", got)
+	}
+}
+
+// TestVectorDimensionality pins the stream's fixed vector width: the
+// first numeric point fixes it, a vector of another width is rejected
+// by every insert path with no state change (never a panic or a silent
+// accept), token-set points stay legal beside vectors, a checkpoint
+// re-derives the width from its seeds, and Assign answers a probe of
+// another width as an outlier.
+func TestVectorDimensionality(t *testing.T) {
+	cfg := Config{Radius: 0.8, Tau: 3, InitPoints: 100}
+	trained := func(t *testing.T) *EDMStream {
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(t, e, blobStream([][]float64{{0, 0}, {10, 10}}, 0.5, 600, 1000, 1))
+		e.Snapshot()
+		return e
+	}
+	fresh := func(t *testing.T) *EDMStream {
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	vec := func(v ...float64) stream.Point { return stream.Point{Vector: v, Time: 1} }
+	text := stream.Point{Tokens: distance.NewTokenSet("a", "b"), Time: 1}
+	// reencode rewrites e's checkpoint state with fault and decodes it.
+	reencode := func(t *testing.T, e *EDMStream, fault func(*ckptState)) (*EDMStream, error) {
+		var buf bytes.Buffer
+		if err := e.EncodeCheckpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var st ckptState
+		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes()[20:])).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		fault(&st)
+		var body bytes.Buffer
+		if err := gob.NewEncoder(&body).Encode(&st); err != nil {
+			t.Fatal(err)
+		}
+		img, _ := engineImage(append(buf.Bytes()[:20:20], body.Bytes()...))
+		return DecodeCheckpoint(cfg, bytes.NewReader(img))
+	}
+	for _, tc := range []struct {
+		name  string
+		start func(*testing.T) *EDMStream
+		run   func(*testing.T, *EDMStream) error
+		want  string // error substring; "" for success
+	}{
+		{"insert-wider", trained, func(_ *testing.T, e *EDMStream) error {
+			return e.Insert(vec(0, 0, 0))
+		}, "3-d vector on a 2-d stream"},
+		{"insert-narrower", trained, func(_ *testing.T, e *EDMStream) error {
+			return e.Insert(vec(0))
+		}, "1-d vector on a 2-d stream"},
+		{"insert-tokens-beside-vectors", trained, func(_ *testing.T, e *EDMStream) error {
+			return e.Insert(text)
+		}, ""},
+		{"batch-mismatch-last", trained, func(_ *testing.T, e *EDMStream) error {
+			return e.InsertBatch([]stream.Point{vec(0, 0), text, vec(0)})
+		}, "point 2 of 3 rejected: 1-d vector"},
+		{"batch-assigned-mismatch", trained, func(t *testing.T, e *EDMStream) error {
+			acks, err := e.InsertBatchAssigned([]stream.Point{vec(0, 0), vec(1, 2, 3)}, make([]int64, 4))
+			if len(acks) != 0 {
+				t.Errorf("rejected batch acked %d points", len(acks))
+			}
+			return err
+		}, "point 1 of 2 rejected: 3-d vector"},
+		{"fresh-batch-first-vector-fixes", fresh, func(_ *testing.T, e *EDMStream) error {
+			return e.InsertBatch([]stream.Point{text, vec(1, 2, 3), vec(1, 2)})
+		}, "2-d vector on a 3-d stream"},
+		{"fresh-rejected-batch-fixes-nothing", fresh, func(_ *testing.T, e *EDMStream) error {
+			if err := e.InsertBatch([]stream.Point{vec(1, 2), vec(1)}); err == nil {
+				return errors.New("mixed batch accepted")
+			}
+			return e.InsertBatch([]stream.Point{text, vec(1, 2, 3), vec(4, 5, 6)})
+		}, ""},
+		{"restore-rederives", trained, func(t *testing.T, e *EDMStream) error {
+			r, err := reencode(t, e, func(*ckptState) {})
+			if err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			return r.Insert(vec(0, 0, 0))
+		}, "3-d vector on a 2-d stream"},
+		{"restore-mismatched-seed", trained, func(t *testing.T, e *EDMStream) error {
+			_, err := reencode(t, e, func(st *ckptState) {
+				last := &st.Cells[len(st.Cells)-1].Seed
+				last.Vector = append(last.Vector, 0)
+			})
+			return err
+		}, "3-d seed on a 2-d stream"},
+		{"assign-outlier", trained, func(_ *testing.T, e *EDMStream) error {
+			if id, ok := e.Assign(vec(0, 0)); !ok {
+				return fmt.Errorf("in-cluster probe unassigned (%d)", id)
+			}
+			for _, p := range []stream.Point{vec(0), vec(0, 0, 0)} {
+				if id, ok := e.Assign(p); ok {
+					return fmt.Errorf("%d-d probe assigned to cluster %d", p.Dim(), id)
+				}
+			}
+			got := e.AssignBatch([]stream.Point{vec(0), vec(0, 0, 0), text}, nil)
+			if !slices.Equal(got, []int{AssignOutlier, AssignOutlier, AssignOutlier}) {
+				return fmt.Errorf("AssignBatch of mismatched probes = %v, want all outliers", got)
+			}
+			return nil
+		}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := tc.start(t)
+			var before bytes.Buffer
+			if err := e.EncodeCheckpoint(&before); err != nil {
+				t.Fatal(err)
+			}
+			err := tc.run(t, e)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("got %v, want success", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want an error containing %q", err, tc.want)
+			}
+			var after bytes.Buffer
+			if err := e.EncodeCheckpoint(&after); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before.Bytes(), after.Bytes()) {
+				t.Error("a rejected call changed the engine state")
+			}
+		})
 	}
 }
 

@@ -168,7 +168,8 @@ func (f *Frozen) Assign(p stream.Point) (cluster int, ok bool) {
 	return bestCluster, found
 }
 
-// scanFlat is the linear fallback over every numeric seed.
+// scanFlat is the linear fallback over every numeric seed. A seed of
+// another dimensionality than the probe never answers it.
 func (f *Frozen) scanFlat(vec []float64) (int, bool) {
 	var bestID int64
 	var bestCluster int
@@ -176,6 +177,9 @@ func (f *Frozen) scanFlat(vec []float64) (int, bool) {
 	found := false
 	for i := range f.flat {
 		en := &f.flat[i]
+		if len(en.vec) != len(vec) {
+			continue
+		}
 		d := distance.Euclid(en.vec, vec)
 		if d <= f.radius && (d < bestDist || (d == bestDist && en.id < bestID)) {
 			bestID, bestCluster, bestDist, found = en.id, en.cluster, d, true

@@ -116,7 +116,7 @@ func TestDeterminismThroughNetworkPath(t *testing.T) {
 	if err := served.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	servedC := served.c
+	servedC := served.def.c
 
 	directSnap, err := json.Marshal(direct.Snapshot())
 	if err != nil {

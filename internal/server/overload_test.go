@@ -132,7 +132,7 @@ func TestDegradedModeEntersAndRecovers(t *testing.T) {
 		t.Errorf("degraded transitions not counted: entered=%d recovered=%d",
 			stats.Server.Admission.DegradedEntered, stats.Server.Admission.DegradedRecovered)
 	}
-	if s.deg.isDegraded() {
+	if s.def.deg.isDegraded() {
 		t.Error("degraded flag still set after recovery")
 	}
 }
@@ -244,7 +244,7 @@ func TestOverloadAckInvariantExact(t *testing.T) {
 	// must flip to degraded.
 	ffs.Inject(wal.Fault{Op: "sync", Sticky: true})
 	deadline = time.Now().Add(5 * time.Second)
-	for !s.deg.isDegraded() {
+	for !s.def.deg.isDegraded() {
 		if time.Now().After(deadline) {
 			t.Fatal("server did not enter degraded mode under a dead disk")
 		}
@@ -254,7 +254,7 @@ func TestOverloadAckInvariantExact(t *testing.T) {
 	// Phase 4: the disk heals — the probe must recover the server.
 	ffs.Clear()
 	deadline = time.Now().Add(5 * time.Second)
-	for s.deg.isDegraded() {
+	for s.def.deg.isDegraded() {
 		if time.Now().After(deadline) {
 			t.Fatal("server did not recover after the fault cleared")
 		}
@@ -296,7 +296,7 @@ func TestOverloadAckInvariantExact(t *testing.T) {
 		t.Fatal("test proved nothing: no request saw a 503")
 	}
 	t.Logf("acked %d points exactly (%d x 429, %d x 503, %d acks post-recovery, %d client cancels)",
-		want, shed429.Load(), shed503.Load(), postRecovery.Load(), s.coal.clientCancels.Value())
+		want, shed429.Load(), shed503.Load(), postRecovery.Load(), s.def.coal.clientCancels.Value())
 }
 
 // TestReadGuardSheds: with every read slot taken, a data-plane read is
@@ -371,7 +371,7 @@ func TestClientCancelCounter(t *testing.T) {
 
 	// Wait until the queue is occupied so the next request must park.
 	deadline := time.Now().Add(2 * time.Second)
-	for s.coal.pending.Value() == 0 {
+	for s.def.coal.pending.Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("first request never entered the queue")
 		}
@@ -386,7 +386,7 @@ func TestClientCancelCounter(t *testing.T) {
 	if code := <-second; code != http.StatusServiceUnavailable {
 		t.Fatalf("cancelled enqueue status %d, want 503", code)
 	}
-	if got := s.coal.clientCancels.Value(); got != 1 {
+	if got := s.def.coal.clientCancels.Value(); got != 1 {
 		t.Fatalf("client_cancels counter = %d, want 1", got)
 	}
 

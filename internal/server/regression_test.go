@@ -118,7 +118,7 @@ func TestMaxBatchEnforced(t *testing.T) {
 	if got := c.Stats().Points; got != requests*60 {
 		t.Fatalf("engine points = %d, want %d", got, requests*60)
 	}
-	if max := s.coal.batchSize.Stats().WindowMax; max > maxBatch {
+	if max := s.def.coal.batchSize.Stats().WindowMax; max > maxBatch {
 		t.Errorf("a coalesced batch carried %g points, cap is %d", max, maxBatch)
 	}
 }

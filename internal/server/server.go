@@ -29,14 +29,14 @@ import (
 //
 // The server is multi-tenant: /v1/{stream}/... endpoints address named
 // streams, lazily created on first ingest and evicted to disk under
-// memory pressure, while the un-prefixed /v1/... endpoints alias the
-// "default" stream built from the clusterer passed to New. The server
+// memory pressure. The "default" stream is built from the clusterer
+// passed to New, and the un-prefixed /v1/... API is a path rewrite onto
+// /v1/default/..., not a second set of handlers. The server
 // takes ownership of every stream engine's write path: from New until
 // Shutdown returns, no other goroutine may call a served clusterer's
 // mutating methods. The lock-free read methods remain available to
 // everyone.
 type Server struct {
-	c   *edmstream.Clusterer // the default stream's engine
 	cfg Config
 
 	adm  *admission
@@ -51,22 +51,9 @@ type Server struct {
 	streams *tenant.Registry[*stream]
 	store   archive.ObjectStore
 
-	// def is the default stream; the fields below alias its subsystems
-	// for the single-stream API surface (RecoveryInfo) and the tests
-	// that reach into them.
-	def            *stream
-	coal           *coalescer
-	dur            *durability
-	deg            *degradedState
-	ship           *archive.Shipper
-	archiveM       *archiveMetrics
-	restored       *archive.RestoreInfo
-	restoreSkipped bool
-
-	// tenantOps maps "METHOD op" to the handler the /v1/{stream}/{op}
-	// dispatcher invokes, pre-wrapped with the same per-endpoint
-	// telemetry (and read guard) the default plane uses.
-	tenantOps map[string]http.HandlerFunc
+	// def is the default stream, built at New from the caller's
+	// clusterer and never evicted.
+	def *stream
 
 	streamsActive     *obs.Gauge
 	streamsRegistered *obs.Gauge
@@ -121,7 +108,6 @@ func New(c *edmstream.Clusterer, cfg Config) (*Server, error) {
 	}
 	cfg = cfg.withDefaults()
 	s := &Server{
-		c:           c,
 		cfg:         cfg,
 		reg:         obs.NewRegistry(),
 		start:       time.Now(),
@@ -178,55 +164,33 @@ func New(c *edmstream.Clusterer, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.def = def
-	s.coal = def.coal
-	s.dur = def.dur
-	s.deg = def.deg
-	s.ship = def.ship
-	s.archiveM = def.archiveM
-	s.restored = def.restored
-	s.restoreSkipped = def.restoreSkipped
 	if err := s.discoverStreams(); err != nil {
 		def.shutdownClose()
 		return nil, err
 	}
 
 	s.mux = http.NewServeMux()
-	// Default plane: the un-prefixed endpoints alias the default
-	// stream (the pre-tenancy API, unchanged). Data-plane reads sit
-	// behind the bounded-concurrency guard; the operator endpoints
-	// (events, stats, healthz, metrics) stay exempt so an overloaded or
-	// degraded server remains observable.
-	s.route("POST /v1/ingest", "ingest", s.defaultPlane(s.handleIngest))
-	s.route("POST /v1/assign", "assign", s.readGuard(s.defaultPlane(s.handleAssign)))
-	s.route("GET /v1/snapshot", "snapshot", s.readGuard(s.defaultPlane(s.handleSnapshot)))
-	s.route("GET /v1/clusters/{id}", "cluster", s.readGuard(s.defaultPlane(s.handleCluster)))
-	s.route("GET /v1/events", "events", s.defaultPlane(s.handleEvents))
-	s.route("GET /v1/stats", "stats", s.defaultPlane(s.handleStats))
+	// One route per stream operation. Data-plane reads sit behind the
+	// bounded-concurrency guard; the operator endpoints (events, stats,
+	// healthz, metrics) stay exempt so an overloaded or degraded server
+	// remains observable. The un-prefixed /v1/* API reaches these routes
+	// through defaultRewrite, never through a table of its own.
+	s.route("POST /v1/{stream}/ingest", "ingest", s.onStream(s.handleIngest, true))
+	s.route("POST /v1/{stream}/assign", "assign", s.readGuard(s.onStream(s.handleAssign, false)))
+	s.route("GET /v1/{stream}/snapshot", "snapshot", s.readGuard(s.onStream(s.handleSnapshot, false)))
+	s.route("GET /v1/{stream}/clusters/{id}", "cluster", s.readGuard(s.onStream(s.handleCluster, false)))
+	s.route("GET /v1/{stream}/events", "events", s.onStream(s.handleEvents, false))
+	s.route("GET /v1/{stream}/stats", "stats", s.onStream(s.handleStats, false))
 	s.route("GET /healthz", "healthz", s.handleHealthz)
 	s.route("GET /metrics", "metrics", s.handleMetrics)
-	// Stream admin. The literal /v1/streams patterns are strictly more
-	// specific than the tenant wildcards below, so they win; the name
-	// "streams" itself is reserved by tenant.ValidateName.
+	// Stream admin. GET /v1/streams has one segment fewer than any
+	// stream op, and DELETE is no stream op's method, so neither
+	// overlaps the routes above; the name "streams" itself is reserved
+	// by tenant.ValidateName.
 	s.route("GET /v1/streams", "streams", s.handleStreams)
 	s.route("DELETE /v1/streams/{stream}", "streams", s.handleStreamDelete)
-	// Tenant plane: one multi-segment wildcard per method, dispatched
-	// on the first op segment. Registering concrete per-op patterns
-	// like "GET /v1/{stream}/events" instead would conflict with
-	// "GET /v1/clusters/{id}" (both match /v1/clusters/events, neither
-	// more specific); the single wildcard is strictly less specific
-	// than every literal route, so the mux resolves all of them.
-	s.mux.HandleFunc("POST /v1/{stream}/{op...}", s.handleTenant)
-	s.mux.HandleFunc("GET /v1/{stream}/{op...}", s.handleTenant)
-	s.tenantOps = map[string]http.HandlerFunc{
-		"POST ingest":  s.instrument("ingest", s.tenantPlane(s.handleIngest, true)),
-		"POST assign":  s.instrument("assign", s.readGuard(s.tenantPlane(s.handleAssign, false))),
-		"GET snapshot": s.instrument("snapshot", s.readGuard(s.tenantPlane(s.handleSnapshot, false))),
-		"GET clusters": s.instrument("cluster", s.readGuard(s.tenantPlane(s.handleCluster, false))),
-		"GET events":   s.instrument("events", s.tenantPlane(s.handleEvents, false)),
-		"GET stats":    s.instrument("stats", s.tenantPlane(s.handleStats, false)),
-	}
 	s.http = &http.Server{
-		Handler:           s.mux,
+		Handler:           s.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       cfg.ReadTimeout,
 		WriteTimeout:      cfg.WriteTimeout, // validated to exceed LongPollTimeout
@@ -235,60 +199,60 @@ func New(c *edmstream.Clusterer, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// streamHandler is a handler bound to one pinned stream. rest carries
-// the path remainder after the op segment (the cluster id); it is ""
-// for ops that take none.
-type streamHandler func(st *stream, w http.ResponseWriter, r *http.Request, rest string)
+// streamHandler is a handler bound to one pinned stream.
+type streamHandler func(st *stream, w http.ResponseWriter, r *http.Request)
 
-// defaultPlane adapts a stream handler to the un-prefixed endpoints:
-// pin the default stream (always registered, never evicted) for the
-// request's duration.
-func (s *Server) defaultPlane(h streamHandler) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		st, release, err := s.streams.Acquire(DefaultStream, false)
-		if err != nil {
-			s.acquireError(w, DefaultStream, err)
-			return
-		}
-		defer release()
-		h(st, w, r, r.PathValue("id"))
-	}
-}
-
-// tenantPlane adapts a stream handler to the /v1/{stream}/... plane:
+// onStream adapts a stream handler to its /v1/{stream}/... route:
 // validate the name, pin the stream — creating it when create is set
 // (ingest) and transparently reviving it when it was evicted — and run
 // the handler with the pin held, so the evictor can never pull the
 // engine out from under a request.
-func (s *Server) tenantPlane(h streamHandler, create bool) http.HandlerFunc {
+func (s *Server) onStream(h streamHandler, create bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("stream")
-		if err := tenant.ValidateName(name); err != nil && name != DefaultStream {
+		if err := tenant.ValidateName(name); err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		_, rest, _ := strings.Cut(r.PathValue("op"), "/")
 		st, release, err := s.streams.Acquire(name, create)
 		if err != nil {
 			s.acquireError(w, name, err)
 			return
 		}
 		defer release()
-		h(st, w, r, rest)
+		h(st, w, r)
 	}
 }
 
-// handleTenant dispatches /v1/{stream}/{op...} on the first op
-// segment. Unknown ops 404 like unrouted paths.
-func (s *Server) handleTenant(w http.ResponseWriter, r *http.Request) {
-	op, rest, _ := strings.Cut(r.PathValue("op"), "/")
-	h, ok := s.tenantOps[r.Method+" "+op]
-	// clusters is the only op with a path remainder, and it requires one.
-	if !ok || (rest != "") != (op == "clusters") {
-		httpError(w, http.StatusNotFound, fmt.Errorf("unknown endpoint %s for stream %q", r.URL.Path, r.PathValue("stream")))
-		return
-	}
-	h(w, r)
+// defaultRewrite serves the un-prefixed API as the default stream's:
+// it maps /v1/<op> (every two-segment path but /v1/streams) and
+// /v1/clusters/<id> onto /v1/default/..., then hands the request to
+// next. POST keeps /v1/clusters/... as written: a POST there names the
+// reserved stream "clusters" (a 400), never the GET-only cluster read.
+// Like http.StripPrefix, it edits a copy of the request and keeps
+// URL.RawPath in step with URL.Path.
+func defaultRewrite(next http.Handler) http.Handler {
+	const prefix = "/v1/" + DefaultStream + "/"
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rest, ok := strings.CutPrefix(r.URL.Path, "/v1/")
+		rawRest, rawOK := strings.CutPrefix(r.URL.RawPath, "/v1/")
+		if op, _, nested := strings.Cut(rest, "/"); nested {
+			ok = ok && op == "clusters" && r.Method != http.MethodPost
+		} else {
+			ok = ok && op != "streams"
+		}
+		if ok && (rawOK || r.URL.RawPath == "") {
+			u := *r.URL
+			u.Path = prefix + rest
+			if rawOK {
+				u.RawPath = prefix + rawRest
+			}
+			r2 := *r
+			r2.URL = &u
+			r = &r2
+		}
+		next.ServeHTTP(w, r)
+	})
 }
 
 // acquireError maps a registry acquisition failure onto the HTTP
@@ -315,17 +279,15 @@ func (s *Server) acquireError(w http.ResponseWriter, name string, err error) {
 	}
 }
 
-// instrument wraps a handler with per-endpoint telemetry: request
-// counts and latency quantiles under the endpoint label. The registry
-// returns the same instruments for the same (name, labels) pair, so
-// the default plane and the tenant plane of one endpoint share one
-// series.
-func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
+// route registers a handler on the mux with per-endpoint telemetry:
+// request counts and latency quantiles under the endpoint label.
+// Routes of one name share one series.
+func (s *Server) route(pattern, name string, h http.HandlerFunc) {
 	labels := `endpoint="` + name + `"`
 	requests := s.reg.Counter("edmserved_http_requests_total", labels)
 	errCount := s.reg.Counter("edmserved_http_errors_total", labels)
 	latency := s.reg.Timing("edmserved_http_request_duration_seconds", labels)
-	return func(w http.ResponseWriter, r *http.Request) {
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		begin := time.Now()
 		sw := &statusWriter{ResponseWriter: w}
 		h(sw, r)
@@ -334,12 +296,7 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 		if sw.status >= 400 {
 			errCount.Inc()
 		}
-	}
-}
-
-// route registers an instrumented handler on the mux.
-func (s *Server) route(pattern, name string, h http.HandlerFunc) {
-	s.mux.HandleFunc(pattern, s.instrument(name, h))
+	})
 }
 
 // statusWriter records the response status for the error counter.
@@ -356,11 +313,12 @@ func (w *statusWriter) WriteHeader(code int) {
 }
 
 // Handler returns the server's HTTP handler (every endpoint,
-// telemetry included) for in-process use: tests and the e2e benchmark
+// telemetry and the un-prefixed rewrite included), the one Start
+// serves, for in-process use: tests and the e2e benchmark
 // drive it through httptest or a private listener. No stream's
 // writer commits a batch until the server is started — use Start, or
 // StartDetached for handler-only serving.
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return defaultRewrite(s.mux) }
 
 // Registry exposes the server's telemetry registry (the e2e benchmark
 // reads coalescer distributions from it directly).
@@ -543,10 +501,10 @@ func (st *stream) shutdownClose() error {
 // found and recovered at startup. Meaningful only when the server was
 // configured with a DataDir; the zero value otherwise.
 func (s *Server) RecoveryInfo() wal.RecoveryInfo {
-	if s.dur == nil {
+	if s.def.dur == nil {
 		return wal.RecoveryInfo{}
 	}
-	return s.dur.recovery
+	return s.def.dur.recovery
 }
 
 // streamNow returns the server's stream clock: seconds since start.
@@ -555,7 +513,7 @@ func (s *Server) streamNow() float64 { return time.Since(s.start).Seconds() }
 
 // ---- Handlers ----
 
-func (s *Server) handleIngest(st *stream, w http.ResponseWriter, r *http.Request, _ string) {
+func (s *Server) handleIngest(st *stream, w http.ResponseWriter, r *http.Request) {
 	// Rejections are checked cheapest-first and before the body is read
 	// — the whole point of shedding is to not spend work on requests
 	// the server cannot serve.
@@ -638,7 +596,7 @@ func (s *Server) handleIngest(st *stream, w http.ResponseWriter, r *http.Request
 	writeAck(w, ingestResponse{Accepted: len(pts), Cells: cells})
 }
 
-func (s *Server) handleAssign(st *stream, w http.ResponseWriter, r *http.Request, _ string) {
+func (s *Server) handleAssign(st *stream, w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	pts, err := decodePoints(body, s.streamNow(), s.cfg.MaxBatch)
 	if err != nil {
@@ -653,7 +611,7 @@ func (s *Server) handleAssign(st *stream, w http.ResponseWriter, r *http.Request
 	writeAck(w, assignResponse{Clusters: ids})
 }
 
-func (s *Server) handleSnapshot(st *stream, w http.ResponseWriter, r *http.Request, _ string) {
+func (s *Server) handleSnapshot(st *stream, w http.ResponseWriter, r *http.Request) {
 	snap := st.c.LastSnapshot()
 	resp := snapshotResponse{
 		Time:         snap.Time,
@@ -668,7 +626,8 @@ func (s *Server) handleSnapshot(st *stream, w http.ResponseWriter, r *http.Reque
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleCluster(st *stream, w http.ResponseWriter, r *http.Request, rawID string) {
+func (s *Server) handleCluster(st *stream, w http.ResponseWriter, r *http.Request) {
+	rawID := r.PathValue("id")
 	id, err := strconv.Atoi(rawID)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("cluster id %q is not an integer", rawID))
@@ -708,7 +667,7 @@ func summarize(cl *edmstream.ClusterInfo) wireClusterSummary {
 	}
 }
 
-func (s *Server) handleEvents(st *stream, w http.ResponseWriter, r *http.Request, _ string) {
+func (s *Server) handleEvents(st *stream, w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	var cursor uint64
 	if raw := q.Get("cursor"); raw != "" {
@@ -884,7 +843,7 @@ type coalescerStats struct {
 	FlushP99Sec      float64 `json:"flush_p99_seconds"`
 }
 
-func (s *Server) handleStats(st *stream, w http.ResponseWriter, r *http.Request, _ string) {
+func (s *Server) handleStats(st *stream, w http.ResponseWriter, r *http.Request) {
 	size := st.coal.batchSize.Stats()
 	reqs := st.coal.batchReqs.Stats()
 	wait := st.coal.batchWait.Stats()

@@ -397,12 +397,12 @@ func TestConcurrentIngestCoalesces(t *testing.T) {
 	// idle writer may each flush alone. Hold the writer inside its
 	// first flush until every writer has a request queued: the next
 	// pass then must merge all of them, deterministically.
-	flushHook := s.coal.onFlush
+	flushHook := s.def.coal.onFlush
 	var held atomic.Bool
-	s.coal.onFlush = func() {
+	s.def.coal.onFlush = func() {
 		if held.CompareAndSwap(false, true) {
 			deadline := time.Now().Add(10 * time.Second)
-			for s.coal.pending.Value() < writers && time.Now().Before(deadline) {
+			for s.def.coal.pending.Value() < writers && time.Now().Before(deadline) {
 				time.Sleep(time.Millisecond)
 			}
 		}
@@ -447,11 +447,11 @@ func TestConcurrentIngestCoalesces(t *testing.T) {
 	if got := c.Stats().Points; got != int64(total) {
 		t.Fatalf("engine points = %d, want %d", got, total)
 	}
-	reqStats := s.coal.batchReqs.Stats()
+	reqStats := s.def.coal.batchReqs.Stats()
 	if reqStats.WindowMax < 2 {
 		t.Errorf("no multi-request batch formed under %d concurrent writers (max %g)", writers, reqStats.WindowMax)
 	}
-	if batches := s.coal.batches.Value(); batches >= uint64(writers*perWriter) {
+	if batches := s.def.coal.batches.Value(); batches >= uint64(writers*perWriter) {
 		t.Errorf("coalescer made %d batches for %d requests: nothing coalesced", batches, writers*perWriter)
 	}
 }

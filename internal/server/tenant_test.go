@@ -27,9 +27,8 @@ func tenantConfig() Config {
 	}
 }
 
-// doReq runs one request and returns the status and decoded error
-// body (zero-valued when the body is not an errorResponse).
-func doReq(t *testing.T, method, url string, body []byte) (int, errorResponse) {
+// fetch runs one request and returns the status and raw body.
+func fetch(t *testing.T, method, url string, body []byte) (int, []byte) {
 	t.Helper()
 	var rd io.Reader
 	if body != nil {
@@ -44,10 +43,21 @@ func doReq(t *testing.T, method, url string, body []byte) (int, errorResponse) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, raw
+}
+
+// doReq runs one request and returns the status and decoded error
+// body (zero-valued when the body is not an errorResponse).
+func doReq(t *testing.T, method, url string, body []byte) (int, errorResponse) {
+	t.Helper()
+	code, raw := fetch(t, method, url, body)
 	var e errorResponse
 	_ = json.Unmarshal(raw, &e)
-	return resp.StatusCode, e
+	return code, e
 }
 
 // TestTenantIsolation: two named streams fed different data serve
@@ -140,52 +150,86 @@ func TestTenantIsolation(t *testing.T) {
 	}
 }
 
-// TestDefaultStreamAlias pins satellite #1: the un-prefixed /v1/*
-// endpoints and the /v1/default/* prefix address the same stream —
-// data ingested through one is served through the other, byte for
-// byte.
+// TestDefaultStreamAlias pins the path rewrite: every un-prefixed
+// /v1/* operation and its /v1/default/* spelling answer byte for byte
+// alike. Two servers take the same request sequence, one per spelling,
+// so the write ops compare too; stats drop only their wall-clock
+// fields. Final reads through other spellings on the first server show
+// they all address one stream, percent-escaped paths included.
 func TestDefaultStreamAlias(t *testing.T) {
-	_, _, base := startServer(t, testOptions(), tenantConfig())
-
+	_, _, plain := startServer(t, testOptions(), tenantConfig())
+	_, _, prefixed := startServer(t, testOptions(), tenantConfig())
 	pts := twoBlobPoints(1500, 3)
-	var ack ingestResponse
-	if resp := postJSON(t, base+"/v1/ingest", pts[:1000], &ack); resp.StatusCode != http.StatusOK {
-		t.Fatalf("unprefixed ingest status %d", resp.StatusCode)
-	}
-	// The aliased prefix continues the same stream.
-	if resp := postJSON(t, base+"/v1/default/ingest", pts[1000:], &ack); resp.StatusCode != http.StatusOK {
-		t.Fatalf("prefixed ingest status %d", resp.StatusCode)
-	}
+	first, _ := json.Marshal(pts[:1000])
+	rest, _ := json.Marshal(pts[1000:])
+	probes, _ := json.Marshal(pts[:50])
 
-	read := func(url string) []byte {
-		resp, err := http.Get(url)
-		if err != nil {
-			t.Fatal(err)
+	pair := func(method, path string, body []byte) []byte {
+		t.Helper()
+		code, got := fetch(t, method, plain+path, body)
+		aliasPath := strings.Replace(path, "/v1/", "/v1/default/", 1)
+		aliasCode, want := fetch(t, method, prefixed+aliasPath, body)
+		if code != http.StatusOK || aliasCode != http.StatusOK {
+			t.Fatalf("%s %s: status %d, %s: status %d", method, path, code, aliasPath, aliasCode)
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", url, resp.StatusCode)
+		if strings.HasSuffix(path, "/stats") {
+			got, want = stableStats(t, got), stableStats(t, want)
 		}
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s %s differs from %s:\n%s\nvs\n%s", method, path, aliasPath,
+				got[:min(len(got), 200)], want[:min(len(want), 200)])
 		}
-		return raw
+		return got
 	}
-	for _, ep := range []string{"/v1/snapshot", "/v1/events?cursor=0"} {
-		plain := read(base + ep)
-		aliased := read(base + strings.Replace(ep, "/v1/", "/v1/default/", 1))
-		if !bytes.Equal(plain, aliased) {
-			t.Errorf("%s differs between the un-prefixed and /v1/default/ planes:\n%s\nvs\n%s",
-				ep, plain[:min(len(plain), 200)], aliased[:min(len(aliased), 200)])
+	pair("POST", "/v1/ingest", first)
+	pair("POST", "/v1/ingest", rest)
+	pair("POST", "/v1/assign", probes)
+	var snap snapshotResponse
+	if err := json.Unmarshal(pair("GET", "/v1/snapshot", nil), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Clusters) == 0 {
+		t.Fatal("no clusters published")
+	}
+	pair("GET", fmt.Sprintf("/v1/clusters/%d", snap.Clusters[0].ID), nil)
+	if events := pair("GET", "/v1/events?cursor=0", nil); !bytes.Contains(events, []byte(`"kind"`)) {
+		t.Errorf("no evolution events to compare: %s", events)
+	}
+	pair("GET", "/v1/stats", nil)
+
+	_, plainSnap := fetch(t, "GET", plain+"/v1/snapshot", nil)
+	for _, path := range []string{"/v1/default/snapshot", "/v1/snap%73hot"} {
+		if _, got := fetch(t, "GET", plain+path, nil); !bytes.Equal(plainSnap, got) {
+			t.Errorf("/v1/snapshot and %s of one server differ", path)
 		}
 	}
 }
 
+// stableStats re-encodes a stats body without the fields that measure
+// wall-clock time, which differ between any two servers.
+func stableStats(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	var st statsResponse
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	st.Server.UptimeSeconds = 0
+	c := &st.Server.Coalescer
+	c.BatchWaitP50Sec, c.BatchWaitP99Sec, c.FlushP50Sec, c.FlushP99Sec = 0, 0, 0, 0
+	a := &st.Server.Admission
+	a.EstimatedWaitP50, a.EstimatedWaitP99 = 0, 0
+	out, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestTenantErrorMapping pins the error surface the runbook documents:
 // 400 invalid name, 404 unknown stream (reason unknown_stream), 429
-// over the stream cap (reason overloaded), 404 unknown op, and 501
-// when the server has no engine factory.
+// over the stream cap (reason overloaded), 404 unknown op, 405 wrong
+// method on either spelling of an op, and 501 when the server has no
+// engine factory.
 func TestTenantErrorMapping(t *testing.T) {
 	cfg := tenantConfig()
 	cfg.MaxStreams = 3 // default + two named
@@ -225,12 +269,47 @@ func TestTenantErrorMapping(t *testing.T) {
 		t.Errorf("ingest into existing stream at cap: status %d, want 200", code)
 	}
 
-	// Unknown ops under a valid stream 404 like unrouted paths.
-	if code, _ := doReq(t, "GET", base+"/v1/one/bogus", nil); code != http.StatusNotFound {
-		t.Errorf("unknown op: status %d, want 404", code)
+	// Unknown ops and path remainders 404 like unrouted paths, on both
+	// spellings; an op on the reserved name "streams" is a bad name.
+	for _, path := range []string{"/v1/bogus", "/v1/one/bogus", "/v1/snapshot/extra",
+		"/v1/one/snapshot/extra", "/v1/one/clusters/1/extra", "/v1/default", "/v1/"} {
+		if code, _ := doReq(t, "GET", base+path, nil); code != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, code)
+		}
 	}
-	if code, _ := doReq(t, "GET", base+"/v1/one/snapshot/extra", nil); code != http.StatusNotFound {
-		t.Errorf("snapshot with a path remainder: status %d, want 404", code)
+	if code, _ := doReq(t, "GET", base+"/v1/streams/snapshot", nil); code != http.StatusBadRequest {
+		t.Errorf("GET /v1/streams/snapshot: status %d, want 400", code)
+	}
+
+	// A wrong method on a stream op is 405, however the stream is named.
+	for _, tc := range []struct{ method, op string }{
+		{"GET", "ingest"}, {"GET", "assign"}, {"POST", "snapshot"},
+		{"PUT", "clusters/1"}, {"POST", "events"}, {"DELETE", "stats"},
+	} {
+		for _, prefix := range []string{"/v1/", "/v1/one/", "/v1/default/"} {
+			if code, _ := doReq(t, tc.method, base+prefix+tc.op, nil); code != http.StatusMethodNotAllowed {
+				t.Errorf("%s %s%s: status %d, want 405", tc.method, prefix, tc.op, code)
+			}
+		}
+	}
+
+	// The admin routes are untouched by the rewrite.
+	if code, _ := doReq(t, "GET", base+"/v1/streams", nil); code != http.StatusOK {
+		t.Errorf("GET /v1/streams: status %d, want 200", code)
+	}
+	if code, _ := doReq(t, "DELETE", base+"/v1/streams/default", nil); code != http.StatusBadRequest {
+		t.Errorf("DELETE /v1/streams/default: status %d, want 400", code)
+	}
+	if code, e := doReq(t, "DELETE", base+"/v1/streams/ghost", nil); code != http.StatusNotFound || e.Reason != reasonUnknownStream {
+		t.Errorf("DELETE /v1/streams/ghost: status %d reason %q, want 404 %q", code, e.Reason, reasonUnknownStream)
+	}
+	// A stream named like an op is that named stream: at the cap it
+	// cannot be created, and it was never the default stream.
+	if code, e := doReq(t, "POST", base+"/v1/stats/ingest", pts); code != http.StatusTooManyRequests || e.Reason != reasonOverloaded {
+		t.Errorf("POST /v1/stats/ingest at the cap: status %d reason %q, want 429 %q", code, e.Reason, reasonOverloaded)
+	}
+	if code, e := doReq(t, "GET", base+"/v1/stats/snapshot", nil); code != http.StatusNotFound || e.Reason != reasonUnknownStream {
+		t.Errorf("GET /v1/stats/snapshot: status %d reason %q, want 404 %q", code, e.Reason, reasonUnknownStream)
 	}
 
 	// A factory-less server serves the default stream but cannot build
@@ -241,6 +320,21 @@ func TestTenantErrorMapping(t *testing.T) {
 	}
 	if code, _ := doReq(t, "POST", base2+"/v1/ingest", pts); code != http.StatusOK {
 		t.Errorf("default ingest without a factory: status %d, want 200", code)
+	}
+
+	// Below the cap, the op-named stream is created and serves itself.
+	_, _, base3 := startServer(t, testOptions(), tenantConfig())
+	if code, _ := doReq(t, "POST", base3+"/v1/stats/ingest", pts); code != http.StatusOK {
+		t.Fatalf("POST /v1/stats/ingest: status %d, want 200", code)
+	}
+	var st statsResponse
+	getJSON(t, base3+"/v1/stats/stats", &st)
+	if st.Server.Stream != "stats" || st.Server.Coalescer.Points != 10 {
+		t.Errorf("/v1/stats/stats: stream %q with %d points, want stream \"stats\" with 10", st.Server.Stream, st.Server.Coalescer.Points)
+	}
+	getJSON(t, base3+"/v1/stats", &st)
+	if st.Server.Stream != DefaultStream || st.Server.Coalescer.Points != 0 {
+		t.Errorf("/v1/stats: stream %q with %d points, want the empty default stream", st.Server.Stream, st.Server.Coalescer.Points)
 	}
 }
 
