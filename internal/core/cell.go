@@ -9,16 +9,18 @@ import (
 // Cell is a cluster-cell (Def. 4): a summary of the points that fell
 // within radius r of its seed, carrying a lazily decayed density and
 // its dependency (nearest cluster-cell with higher density).
+//
+// Only what the ingest hot path reads lives here, in at most 192
+// bytes; colder per-cell state lives in slot-addressed columns beside
+// the slab: the seed vector row (index.Seeds), the triangle-filter
+// probe (EDMStream.probes) and the incremental extraction bookkeeping
+// (dpTree.ext).
 type Cell struct {
 	// id is the cell's unique identifier.
 	id int64
-	// slot addresses the cell in the engine's cell slab and seed column
-	// for its lifetime (see cellSlab); col reports whether the seed has
-	// a row in the seed column (numeric seeds of the stream's width).
-	slot int32
-	col  bool
 	// seed is the seed point s_c of the cell. Its timestamp is the
-	// cell's creation time.
+	// cell's creation time. It never changes after creation, so
+	// published snapshot views share it.
 	seed stream.Point
 	// rho is the decayed density as of time rhoTime (Eq. 6/8).
 	rho float64
@@ -28,9 +30,13 @@ type Cell struct {
 	lastAbsorb float64
 	// count is the total number of points ever absorbed (undecayed).
 	count int64
-	// active reports whether the cell currently resides in the DP-Tree
-	// (true) or in the outlier reservoir (false).
-	active bool
+	// logNorm is the cell's decay-normalized log-density,
+	// ln(rho) + λ·ln(1/a)·rhoTime, maintained by EDMStream whenever
+	// the cell absorbs a point. Because every cell decays at the same
+	// rate, densities at a common time compare exactly as their
+	// logNorm keys do, which lets the density filter (Theorem 1) test
+	// candidates without exponentiating per candidate.
+	logNorm float64
 
 	// dep is the cell this cell depends on: its nearest cell with
 	// higher density (Eq. 7). Nil for the absolute density peak and for
@@ -43,41 +49,26 @@ type Cell struct {
 	// (O(1) unlink without a map — dependency relinks are hot, and the
 	// incremental extraction walks children constantly).
 	children []*Cell
-	childIdx int
-
-	// treeIdx is the cell's position in the DP-Tree's active-cell list
-	// (used for O(1) removal). Meaningful only while active.
-	treeIdx int
 	// densBucket and densIdx locate the cell in the DP-Tree's density
 	// band index (the logNorm bucket it lives in and its slot there).
 	// Meaningful only while active.
 	densBucket int64
-	densIdx    int
-	// logNorm is the cell's decay-normalized log-density,
-	// ln(rho) + λ·ln(1/a)·rhoTime, maintained by EDMStream whenever
-	// the cell absorbs a point. Because every cell decays at the same
-	// rate, densities at a common time compare exactly as their
-	// logNorm keys do, which lets the density filter (Theorem 1) test
-	// candidates without exponentiating per candidate.
-	logNorm float64
-	// Incremental cluster-extraction bookkeeping (see extract.go).
-	// cluster is the MSD subtree the cell currently belongs to (nil
-	// while inactive or before its first extraction) and memberIdx its
-	// slot in that cluster's member list. leads is non-nil iff the cell
-	// is currently the peak of a cluster. dirtyMark records that the
-	// cell's dependency link changed since the last extraction, and
-	// extractEpoch stamps the extraction pass that last recomputed the
-	// cell's peak.
-	cluster      *msdCluster
-	memberIdx    int
-	leads        *msdCluster
-	dirtyMark    bool
-	extractEpoch uint64
 
-	// seedView is a lazily built deep clone of the seed shared by
-	// published snapshot views (snapshots are read-only, and seeds never
-	// change, so one clone serves every snapshot the cell appears in).
-	seedView stream.Point
+	// slot addresses the cell in the engine's cell slab and its
+	// columns for its lifetime (see cellSlab); childIdx and densIdx are
+	// the positions described above.
+	slot     int32
+	childIdx int32
+	densIdx  int32
+	// treeIdx is the cell's position in the DP-Tree's active-cell list
+	// (used for O(1) removal). Meaningful only while active.
+	treeIdx int32
+	// col reports whether the seed has a row in the seed column
+	// (numeric seeds of the stream's width).
+	col bool
+	// active reports whether the cell currently resides in the DP-Tree
+	// (true) or in the outlier reservoir (false).
+	active bool
 }
 
 // newCell creates a cell seeded by p with initial density 1 (a single
@@ -96,17 +87,6 @@ func newCell(id int64, p stream.Point) *Cell {
 
 // ID returns the cell's identifier.
 func (c *Cell) ID() int64 { return c.id }
-
-// seedClone returns the cell's cached seed clone, building it on first
-// use. The clone is shared by every snapshot view the cell appears in;
-// views are read-only by contract, and Snapshot() deep-copies before
-// handing out mutable data, so the sharing is never observable.
-func (c *Cell) seedClone() stream.Point {
-	if c.seedView.Vector == nil && c.seedView.Tokens == nil {
-		c.seedView = c.seed.Clone()
-	}
-	return c.seedView
-}
 
 // Seed returns the cell's seed point.
 func (c *Cell) Seed() stream.Point { return c.seed }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/densitymountain/edmstream/internal/stream"
 )
@@ -123,4 +124,13 @@ func TestCellAccessors(t *testing.T) {
 	if c.Seed().Vector[0] == 99 {
 		t.Error("cell seed aliases the caller's point")
 	}
+}
+
+// TestCellFootprint guards the per-cell fixed cost: cold per-cell state
+// belongs in the slot-addressed columns, not in the Cell.
+func TestCellFootprint(t *testing.T) {
+	if sz := unsafe.Sizeof(Cell{}); sz > 192 {
+		t.Errorf("Cell is %d bytes, want at most 192", sz)
+	}
+	t.Logf("Cell %d B, extractRow %d B", unsafe.Sizeof(Cell{}), unsafe.Sizeof(extractRow{}))
 }

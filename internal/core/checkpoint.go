@@ -449,7 +449,7 @@ func (e *EDMStream) restore(st *ckptState) error {
 			return fmt.Errorf("core: active list repeats cell %d", id)
 		}
 		c.active = true
-		c.treeIdx = i
+		c.treeIdx = int32(i)
 		e.tree.list = append(e.tree.list, c)
 		e.tree.densInsert(c)
 		if t := top[c.seed.IsText()]; t == nil || higherRanked(c, t, e.now, e.cfg.Decay) {
@@ -499,11 +499,11 @@ func (e *EDMStream) restore(st *ckptState) error {
 			}
 			// An unplaced child still has childIdx 0, where another
 			// child or nothing sits.
-			placed := child.childIdx < len(c.children) && c.children[child.childIdx] == child
+			placed := int(child.childIdx) < len(c.children) && c.children[child.childIdx] == child
 			if child.dep != c || placed {
 				return fmt.Errorf("core: cell %d lists child %d, which does not depend on it once", cc.ID, childID)
 			}
-			child.childIdx = len(c.children)
+			child.childIdx = int32(len(c.children))
 			c.children = append(c.children, child)
 			links--
 		}
@@ -522,7 +522,7 @@ func (e *EDMStream) restore(st *ckptState) error {
 		if c == nil {
 			return fmt.Errorf("core: dirty list names missing cell %d", id)
 		}
-		c.dirtyMark = true
+		e.tree.row(c).dirty = true
 		e.tree.dirty = append(e.tree.dirty, c)
 	}
 
@@ -535,19 +535,20 @@ func (e *EDMStream) restore(st *ckptState) error {
 		// drains at the next extraction, as it would have uninterrupted.
 		if peak := byID[kc.PeakID]; peak != nil {
 			cl.peak = peak
-			peak.leads = cl
+			e.tree.row(peak).leads = cl
 		}
 		for j, mid := range kc.MemberIDs {
 			c := byID[mid]
 			if c == nil {
 				return fmt.Errorf("core: cluster %d has missing member cell %d", kc.ID, mid)
 			}
-			c.cluster = cl
-			c.memberIdx = j
+			r := e.tree.row(c)
+			r.cluster = cl
+			r.member = int32(j)
 			cl.members = append(cl.members, c)
 		}
 		if kc.ViewsValid {
-			cl.buildViews()
+			e.tree.buildViews(cl)
 		}
 		e.tree.clusters = append(e.tree.clusters, cl)
 	}

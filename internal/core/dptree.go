@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"github.com/densitymountain/edmstream/internal/distance"
 	"github.com/densitymountain/edmstream/internal/index"
@@ -36,6 +38,12 @@ type dpTree struct {
 	// filter of Theorem 1 can enumerate just the cells inside an
 	// absorption's density band instead of scanning every active cell.
 	byDensity map[int64][]densEntry
+	// densKeys lists byDensity's occupied bucket keys in ascending
+	// order, so searches reach the buckets at, above or below a key
+	// without walking the whole map, and walk them in a fixed order.
+	densKeys []int64
+	// relinks is retargetLower's reusable scratch.
+	relinks []relink
 
 	// higherPred is the reusable NearestWhere predicate of the indexed
 	// dependency search ("active, not the target, outranks the
@@ -45,13 +53,15 @@ type dpTree struct {
 	predCell   *Cell
 	predNow    float64
 
-	// Incremental MSD-subtree extraction state (see extract.go): dirty
-	// lists the cells whose dependency link changed since the last
-	// extraction, clusters the live partition (sorted by peak ID when
-	// clustersSorted), epoch stamps extraction passes, extractTau is
-	// the τ the cached partition was built with, and partChanged
-	// records that membership may differ from the partition last handed
-	// to the evolution tracker. walk and clusterPool are reused scratch.
+	// Incremental MSD-subtree extraction state (see extract.go): ext
+	// holds each slot's extractRow, dirty lists the cells whose
+	// dependency link changed since the last extraction, clusters the
+	// live partition (sorted by peak ID when clustersSorted), epoch
+	// stamps extraction passes, extractTau is the τ the cached
+	// partition was built with, and partChanged records that membership
+	// may differ from the partition last handed to the evolution
+	// tracker. walk and clusterPool are reused scratch.
+	ext            []extractRow
 	dirty          []*Cell
 	clusters       []*msdCluster
 	clustersSorted bool
@@ -97,12 +107,23 @@ func densBucketOf(logNorm float64) int64 {
 	return int64(math.Floor(logNorm / densBucketWidth))
 }
 
+// densFrom returns the position in densKeys of the first occupied
+// bucket at or above key b.
+func (t *dpTree) densFrom(b int64) int {
+	i, _ := slices.BinarySearch(t.densKeys, b)
+	return i
+}
+
 // densInsert adds an active cell to the density band index.
 func (t *dpTree) densInsert(c *Cell) {
 	b := densBucketOf(c.logNorm)
+	bucket := t.byDensity[b]
+	if len(bucket) == 0 {
+		t.densKeys = slices.Insert(t.densKeys, t.densFrom(b), b)
+	}
 	c.densBucket = b
-	c.densIdx = len(t.byDensity[b])
-	t.byDensity[b] = append(t.byDensity[b], densEntry{logNorm: c.logNorm, delta: c.delta, cell: c, slot: c.slot, col: c.col})
+	c.densIdx = int32(len(bucket))
+	t.byDensity[b] = append(bucket, densEntry{logNorm: c.logNorm, delta: c.delta, cell: c, slot: c.slot, col: c.col})
 }
 
 // densRemove takes an active cell out of the density band index
@@ -116,6 +137,8 @@ func (t *dpTree) densRemove(c *Cell) {
 	bucket = bucket[:last]
 	if len(bucket) == 0 {
 		delete(t.byDensity, c.densBucket)
+		i := t.densFrom(c.densBucket)
+		t.densKeys = slices.Delete(t.densKeys, i, i+1)
 	} else {
 		t.byDensity[c.densBucket] = bucket
 	}
@@ -148,7 +171,7 @@ func (t *dpTree) size() int { return len(t.list) }
 // are responsible for calling computeDependency and retargetLower.
 func (t *dpTree) insert(c *Cell) {
 	c.active = true
-	c.treeIdx = len(t.list)
+	c.treeIdx = int32(len(t.list))
 	t.list = append(t.list, c)
 	t.densInsert(c)
 	// A promoted cell has no cached peak yet; the next extraction
@@ -197,7 +220,7 @@ func (t *dpTree) link(c, dep *Cell, delta float64) {
 	c.dep = dep
 	t.setDelta(c, delta)
 	if dep != nil {
-		c.childIdx = len(dep.children)
+		c.childIdx = int32(len(dep.children))
 		dep.children = append(dep.children, c)
 	}
 	t.markDirty(c)
@@ -304,19 +327,17 @@ func (t *dpTree) computeDependency(c *Cell, now float64) {
 // seed, which terminates quickly because higher-ranked cells are
 // plentiful.
 func (t *dpTree) computeDependencyIndexed(c *Cell, now float64) {
-	start := densBucketOf(c.logNorm - logBandSlack)
+	above := t.densKeys[t.densFrom(densBucketOf(c.logNorm-logBandSlack)):]
 	higher := 0
-	for b, bucket := range t.byDensity {
-		if b >= start {
-			higher += len(bucket)
+	for _, b := range above {
+		if higher += len(t.byDensity[b]); higher > dependencyScanCap {
+			break
 		}
 	}
 	if higher <= dependencyScanCap {
 		var pick nearestPick
-		for b, bucket := range t.byDensity {
-			if b < start {
-				continue
-			}
+		for _, b := range above {
+			bucket := t.byDensity[b]
 			for i := range bucket {
 				o := bucket[i].cell
 				if o == c || !t.outranks(o, c, now) {
@@ -375,24 +396,59 @@ func belowBound(a, b []float64, bound float64) (float64, bool) {
 	return 0, false
 }
 
+// relink is one dependency move retargetLower decided on.
+type relink struct {
+	cell *Cell
+	dist float64
+}
+
 // retargetLower checks every active cell ranked below c and relinks it
 // to c when c is closer than its current dependency. It is the
 // complement of computeDependency when a cell enters the tree or rises
 // in density: those lower-ranked cells gained exactly one member (c) in
 // their higher-density set, so their dependency either stays or becomes
 // c (Sec. 4.2).
+//
+// Only the density buckets at or below c's key can hold such cells, and
+// each is tested on its band entry's inline key, δ and seed row; a cell
+// is dereferenced only to break a near-tie or to be relinked. Relinks
+// are applied in active-list order, so c's children list and the dirty
+// list come out as a scan of the whole list would leave them.
 func (t *dpTree) retargetLower(c *Cell, now float64) {
-	for _, o := range t.list {
-		if o == c {
-			continue
+	var cv []float64
+	if c.col {
+		cv = t.seeds.Row(c.slot)
+	}
+	hi := densBucketOf(c.logNorm + logBandSlack)
+	moves := t.relinks[:0]
+	for _, b := range t.densKeys {
+		if b > hi {
+			break
 		}
-		if t.outranks(o, c, now) {
-			continue
-		}
-		if d, below := t.distanceBelow(o, c, o.delta); below {
-			t.link(o, c, d)
+		bucket := t.byDensity[b]
+		for i := range bucket {
+			o := &bucket[i]
+			if o.cell == c || t.outranksBy(o.logNorm-c.logNorm, o.cell, c, now) {
+				continue
+			}
+			var d float64
+			var below bool
+			if o.col && cv != nil {
+				d, below = belowBound(t.seeds.Row(o.slot), cv, o.delta)
+			} else {
+				d, below = t.distanceBelow(o.cell, c, o.delta)
+			}
+			if below {
+				moves = append(moves, relink{o.cell, d})
+			}
 		}
 	}
+	slices.SortFunc(moves, func(a, b relink) int { return cmp.Compare(a.cell.treeIdx, b.cell.treeIdx) })
+	for _, m := range moves {
+		t.link(m.cell, c, m.dist)
+	}
+	clear(moves)
+	t.relinks = moves[:0]
 }
 
 // subtree returns c and every cell transitively depending on it.
@@ -477,7 +533,7 @@ func (t *dpTree) checkInvariants(now float64) string {
 		if !higherRanked(c.dep, c, now, t.decay) {
 			return "cell depends on a cell that does not outrank it"
 		}
-		if c.childIdx < 0 || c.childIdx >= len(c.dep.children) || c.dep.children[c.childIdx] != c {
+		if c.childIdx < 0 || int(c.childIdx) >= len(c.dep.children) || c.dep.children[c.childIdx] != c {
 			return "dependency's children index is missing the cell"
 		}
 		if c.delta < 0 || math.IsNaN(c.delta) {
@@ -517,8 +573,16 @@ func (t *dpTree) checkInvariants(now float64) string {
 		}
 	}
 	for i, c := range t.list {
-		if c.treeIdx != i {
+		if int(c.treeIdx) != i {
 			return "active cell list index out of sync"
+		}
+	}
+	if len(t.densKeys) != len(t.byDensity) || !slices.IsSorted(t.densKeys) {
+		return "occupied density bucket keys out of sync"
+	}
+	for _, b := range t.densKeys {
+		if len(t.byDensity[b]) == 0 {
+			return "occupied density bucket keys name an empty bucket"
 		}
 	}
 	inBuckets := 0
@@ -529,7 +593,7 @@ func (t *dpTree) checkInvariants(now float64) string {
 			if en.logNorm != c.logNorm || en.delta != c.delta || en.slot != c.slot || en.col != c.col {
 				return "density band entry keys out of sync with its cell"
 			}
-			if c.densBucket != b || c.densIdx != i {
+			if c.densBucket != b || int(c.densIdx) != i {
 				return "density band index out of sync"
 			}
 			if !c.active {

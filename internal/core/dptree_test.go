@@ -20,7 +20,7 @@ func buildTestTree(t *testing.T, positions []float64, densities []float64) (*dpT
 		c.rho = densities[i]
 		c.rhoTime = 0
 		cells[i] = c
-		tree.insert(c)
+		insertTestCell(tree, c)
 	}
 	for _, c := range cells {
 		tree.computeDependency(c, 0)
@@ -29,6 +29,14 @@ func buildTestTree(t *testing.T, positions []float64, densities []float64) (*dpT
 		t.Fatalf("test tree violates invariants: %s", msg)
 	}
 	return tree, cells
+}
+
+// insertTestCell gives c the next free slot of a bare tree (one without
+// an engine's slab) and inserts it.
+func insertTestCell(tree *dpTree, c *Cell) {
+	c.slot = int32(len(tree.ext))
+	tree.resetRow(c.slot)
+	tree.insert(c)
 }
 
 func TestComputeDependencyBasic(t *testing.T) {
@@ -126,7 +134,7 @@ func TestRetargetLower(t *testing.T) {
 	// dependencies, so they must relink.
 	c := newCell(100, numericPoint(100, 0, 9.5))
 	c.rho = 7
-	tree.insert(c)
+	insertTestCell(tree, c)
 	tree.computeDependency(c, 0)
 	tree.retargetLower(c, 0)
 	if msg := tree.checkInvariants(0); msg != "" {
@@ -185,7 +193,7 @@ func TestEmptyAndSingletonTree(t *testing.T) {
 		t.Errorf("empty tree should have no subtrees, got %d", len(got))
 	}
 	c := newCell(1, numericPoint(0, 0, 5))
-	tree.insert(c)
+	insertTestCell(tree, c)
 	tree.computeDependency(c, 0)
 	if tree.root() != c {
 		t.Error("singleton tree root should be the only cell")

@@ -219,6 +219,7 @@ func (e *EDMStream) addCell(c *Cell) {
 	} else {
 		e.probes[c.slot] = probe{}
 	}
+	e.tree.resetRow(c.slot)
 	e.seedIdx.Insert(c.slot, c.id, c.seed)
 	e.refreshLogNorm(c)
 }
@@ -229,9 +230,9 @@ func (e *EDMStream) addCell(c *Cell) {
 // names a cell that no longer exists; the cluster drains at the next
 // extraction.
 func (e *EDMStream) removeCell(c *Cell) {
-	if cl := c.leads; cl != nil {
-		cl.peak = nil
-		c.leads = nil
+	if r := e.tree.row(c); r.leads != nil {
+		r.leads.peak = nil
+		r.leads = nil
 	}
 	e.seedIdx.Remove(c.slot, c.seed)
 	e.cells.remove(c)
@@ -667,21 +668,15 @@ func (e *EDMStream) updateDependenciesBand(c *Cell, logBefore, now float64, stam
 		// density without being touched.
 		bandLo := logBefore - logBandSlack
 		bandHi := c.logNorm + logBandSlack
-		// Enumerate the bucket range when it is narrow; otherwise walk
-		// the occupied buckets instead. Both enumerate a superset of
-		// the band; the per-cell check in scan stays authoritative.
-		loF := math.Floor(bandLo / densBucketWidth)
-		hiF := math.Floor(bandHi / densBucketWidth)
-		if hiF-loF < float64(len(e.tree.byDensity)) {
-			for b := int64(loF); b <= int64(hiF); b++ {
-				scan(e.tree.byDensity[b], bandLo, bandHi)
+		// The occupied buckets covering the band, in key order: a
+		// superset of the band; the per-cell check in scan stays
+		// authoritative.
+		hi := densBucketOf(bandHi)
+		for _, b := range e.tree.densKeys[e.tree.densFrom(densBucketOf(bandLo)):] {
+			if b > hi {
+				break
 			}
-		} else {
-			for b, bucket := range e.tree.byDensity {
-				if f := float64(b); f >= loF && f <= hiF {
-					scan(bucket, bandLo, bandHi)
-				}
-			}
+			scan(e.tree.byDensity[b], bandLo, bandHi)
 		}
 		e.stats.FilteredByDensity += filtered + int64(len(e.tree.list)-1) - examined
 	} else {
@@ -746,11 +741,11 @@ func (e *EDMStream) sweep(now float64) {
 	key := math.Log(threshold) + e.lnDecay*now
 	hiBucket := densBucketOf(key + logBandSlack)
 	demote := e.demote[:0]
-	for b, bucket := range e.tree.byDensity {
+	for _, b := range e.tree.densKeys {
 		if b > hiBucket {
-			continue
+			break
 		}
-		for _, en := range bucket {
+		for _, en := range e.tree.byDensity[b] {
 			if en.logNorm < key-logBandSlack {
 				demote = append(demote, en.cell)
 			} else if en.logNorm < key+logBandSlack && en.cell.Density(now, e.cfg.Decay) < threshold {
@@ -758,7 +753,7 @@ func (e *EDMStream) sweep(now float64) {
 			}
 		}
 	}
-	// Bucket iteration order is not deterministic; demotion order is.
+	// Demotion order is by cell ID, not by bucket.
 	slices.SortFunc(demote, func(a, b *Cell) int { return cmp.Compare(a.id, b.id) })
 
 	// Because every cell's dependency outranks it, a demoted cell's
@@ -938,7 +933,7 @@ func (e *EDMStream) refreshClustering(now float64) {
 			// membership changed since the last refresh; the tracker
 			// settles the others without touching their members.
 			chg := !cl.viewsValid
-			cl.buildViews()
+			e.tree.buildViews(cl)
 			part = append(part, obsCluster{ids: cl.ids, prevID: cl.id, changed: chg})
 		}
 		e.part = part[:0]
@@ -955,7 +950,7 @@ func (e *EDMStream) refreshClustering(now float64) {
 	lnNow := e.lnDecay * now
 	infos := make([]ClusterInfo, 0, len(clusters))
 	for _, cl := range clusters {
-		cl.buildViews()
+		e.tree.buildViews(cl)
 		peak := cl.peak
 		info := ClusterInfo{
 			ID:          cl.id,
@@ -986,10 +981,7 @@ func (e *EDMStream) refreshClustering(now float64) {
 func (e *EDMStream) refreshClusteringFull(now, tau float64) {
 	// The incremental dirty set is not consumed on this path; drain it
 	// so it cannot grow without bound (and cannot pin deleted cells).
-	for _, c := range e.tree.dirty {
-		c.dirtyMark = false
-	}
-	e.tree.dirty = e.tree.dirty[:0]
+	e.tree.clearDirty()
 	e.tree.extractValid = false
 
 	subtrees := e.tree.msdSubtrees(tau)
@@ -1235,7 +1227,7 @@ func (e *EDMStream) CheckInvariants() error {
 			return fmt.Errorf("core: cell slab slot %d holds cell %d addressed as slot %d", slot, id, c.slot)
 		}
 		if c.active {
-			if c.treeIdx < 0 || c.treeIdx >= len(e.tree.list) || e.tree.list[c.treeIdx] != c {
+			if c.treeIdx < 0 || int(c.treeIdx) >= len(e.tree.list) || e.tree.list[c.treeIdx] != c {
 				return fmt.Errorf("core: active cell %d missing from DP-Tree", id)
 			}
 		} else {

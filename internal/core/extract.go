@@ -40,10 +40,10 @@ type msdCluster struct {
 	// drops the drained cluster.
 	peak *Cell
 	// members holds the cluster's cells, unordered; each cell's
-	// memberIdx is its slot here (O(1) removal).
+	// extractRow.member is its position here (O(1) removal).
 	members []*Cell
 	// ids and seeds are the snapshot-facing member views: member cell
-	// IDs sorted ascending, and the matching seed clones, index
+	// IDs sorted ascending, and the matching member seeds, index
 	// aligned. They are rebuilt (with fresh backing) after a membership
 	// change and shared with published snapshots, so they are never
 	// mutated in place once built. When viewsValid is true, members is
@@ -56,28 +56,60 @@ type msdCluster struct {
 	id int
 }
 
-// addMember appends c to the cluster.
-func (cl *msdCluster) addMember(c *Cell) {
-	c.memberIdx = len(cl.members)
+// extractRow is one cell's incremental-extraction bookkeeping, held in
+// the slot-addressed column dpTree.ext rather than in the Cell: only
+// extraction reads it, never the ingest hot path. cluster is the MSD
+// subtree the cell currently belongs to (nil while inactive or before
+// its first extraction) and member its position in that cluster's
+// member list. leads is non-nil iff the cell is currently the peak of
+// a cluster. dirty records that the cell's dependency link changed
+// since the last extraction, and epoch stamps the extraction pass that
+// last recomputed the cell's peak. A slot's row is reset when the slot
+// is handed to a new cell.
+type extractRow struct {
+	cluster *msdCluster
+	leads   *msdCluster
+	epoch   uint64
+	member  int32
+	dirty   bool
+}
+
+// resetRow hands slot's extraction row, fresh, to a new cell.
+func (t *dpTree) resetRow(slot int32) {
+	if int(slot) == len(t.ext) {
+		t.ext = append(t.ext, extractRow{})
+	} else {
+		t.ext[slot] = extractRow{}
+	}
+}
+
+// row returns c's extraction bookkeeping.
+func (t *dpTree) row(c *Cell) *extractRow { return &t.ext[c.slot] }
+
+// addMember appends c to cluster cl.
+func (t *dpTree) addMember(cl *msdCluster, c *Cell) {
+	t.row(c).member = int32(len(cl.members))
 	cl.members = append(cl.members, c)
 	cl.viewsValid = false
 }
 
-// removeMember deletes c from the cluster (swap-remove).
-func (cl *msdCluster) removeMember(c *Cell) {
+// removeMember deletes c from cluster cl (swap-remove).
+func (t *dpTree) removeMember(cl *msdCluster, c *Cell) {
+	i := t.row(c).member
 	last := len(cl.members) - 1
-	cl.members[c.memberIdx] = cl.members[last]
-	cl.members[c.memberIdx].memberIdx = c.memberIdx
+	cl.members[i] = cl.members[last]
+	t.row(cl.members[i]).member = i
 	cl.members[last] = nil
 	cl.members = cl.members[:last]
 	cl.viewsValid = false
 }
 
-// buildViews brings the cluster's snapshot-facing views up to date:
+// buildViews brings cluster cl's snapshot-facing views up to date:
 // members are sorted by cell ID and the ids/seeds slices are rebuilt
 // with fresh backing (the old ones may be shared with a published
-// snapshot). A no-op when nothing changed since the last build.
-func (cl *msdCluster) buildViews() {
+// snapshot). The seeds are the cells' own, which never change. A no-op
+// when nothing changed since the last build.
+func (t *dpTree) buildViews(cl *msdCluster) {
 	if cl.viewsValid {
 		return
 	}
@@ -97,9 +129,9 @@ func (cl *msdCluster) buildViews() {
 	ids := make([]int64, len(m))
 	seeds := make([]stream.Point, len(m))
 	for i, c := range m {
-		c.memberIdx = i
+		t.row(c).member = int32(i)
 		ids[i] = c.id
-		seeds[i] = c.seedClone()
+		seeds[i] = c.seed
 	}
 	cl.ids, cl.seeds = ids, seeds
 	cl.viewsValid = true
@@ -108,20 +140,29 @@ func (cl *msdCluster) buildViews() {
 // markDirty records that c's dependency link changed since the last
 // extraction, scheduling its subtree for peak recomputation.
 func (t *dpTree) markDirty(c *Cell) {
-	if c.dirtyMark {
+	r := t.row(c)
+	if r.dirty {
 		return
 	}
-	c.dirtyMark = true
+	r.dirty = true
 	t.dirty = append(t.dirty, c)
+}
+
+// clearDirty empties the dirty list and its marks.
+func (t *dpTree) clearDirty() {
+	for _, c := range t.dirty {
+		t.row(c).dirty = false
+	}
+	t.dirty = t.dirty[:0]
 }
 
 // dropMember takes a cell out of its cluster (demotion path). The
 // cluster object itself is dropped at the next extraction if it
 // drains completely.
 func (t *dpTree) dropMember(c *Cell) {
-	if cl := c.cluster; cl != nil {
-		cl.removeMember(c)
-		c.cluster = nil
+	if r := t.row(c); r.cluster != nil {
+		t.removeMember(r.cluster, c)
+		r.cluster = nil
 		t.partChanged = true
 	}
 }
@@ -141,7 +182,7 @@ func (t *dpTree) newCluster(p *Cell) *msdCluster {
 	cl.ids, cl.seeds = nil, nil
 	cl.viewsValid = false
 	cl.id = 0
-	p.leads = cl
+	t.row(p).leads = cl
 	t.clusters = append(t.clusters, cl)
 	t.clustersSorted = false
 	return cl
@@ -165,15 +206,16 @@ func (t *dpTree) truePeak(c *Cell) *Cell {
 // an otherwise stable subtree — and without the rename it would read
 // as every member leaving one cluster and entering a new one.
 func (t *dpTree) clusterFor(p *Cell) *msdCluster {
-	if cl := p.leads; cl != nil {
+	pr := t.row(p)
+	if cl := pr.leads; cl != nil {
 		return cl
 	}
-	if x := p.cluster; x != nil && x.peak != nil && t.truePeak(x.peak) == p {
-		if x.peak.leads == x {
-			x.peak.leads = nil
+	if x := pr.cluster; x != nil && x.peak != nil && t.truePeak(x.peak) == p {
+		if xr := t.row(x.peak); xr.leads == x {
+			xr.leads = nil
 		}
 		x.peak = p
-		p.leads = x
+		pr.leads = x
 		t.clustersSorted = false
 		return x
 	}
@@ -184,20 +226,21 @@ func (t *dpTree) clusterFor(p *Cell) *msdCluster {
 // renaming it when necessary) and stamps c as processed for the
 // current extraction.
 func (t *dpTree) assignPeak(c, p *Cell) {
-	c.extractEpoch = t.epoch
-	if cl := c.cluster; cl != nil && cl.peak == p {
+	r := t.row(c)
+	r.epoch = t.epoch
+	if cl := r.cluster; cl != nil && cl.peak == p {
 		return
 	}
 	target := t.clusterFor(p)
-	if c.cluster == target {
+	if r.cluster == target {
 		// The rename above re-keyed c's own cluster; c stays put.
 		return
 	}
-	if cl := c.cluster; cl != nil {
-		cl.removeMember(c)
+	if cl := r.cluster; cl != nil {
+		t.removeMember(cl, c)
 	}
-	target.addMember(c)
-	c.cluster = target
+	t.addMember(target, c)
+	r.cluster = target
 	t.partChanged = true
 }
 
@@ -215,7 +258,7 @@ func (t *dpTree) extractFrom(c *Cell, tau float64) {
 		y := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, child := range y.children {
-			if child.delta <= tau && child.extractEpoch != t.epoch {
+			if child.delta <= tau && t.row(child).epoch != t.epoch {
 				t.assignPeak(child, p)
 				stack = append(stack, child)
 			}
@@ -239,30 +282,27 @@ func (t *dpTree) extract(tau float64) bool {
 	if full {
 		t.epoch++
 		for _, c := range t.list {
-			if c.extractEpoch != t.epoch {
+			if t.row(c).epoch != t.epoch {
 				t.extractFrom(c, tau)
 			}
 		}
 	} else if len(t.dirty) > 0 {
 		t.epoch++
 		for _, c := range t.dirty {
-			if c.active && c.extractEpoch != t.epoch {
+			if c.active && t.row(c).epoch != t.epoch {
 				t.extractFrom(c, tau)
 			}
 		}
 	}
-	for _, c := range t.dirty {
-		c.dirtyMark = false
-	}
-	t.dirty = t.dirty[:0]
+	t.clearDirty()
 
 	// Drop drained clusters (their peak was demoted or absorbed into
 	// another mountain and every member has been reassigned).
 	kept := t.clusters[:0]
 	for _, cl := range t.clusters {
 		if len(cl.members) == 0 {
-			if cl.peak != nil && cl.peak.leads == cl {
-				cl.peak.leads = nil
+			if cl.peak != nil && t.row(cl.peak).leads == cl {
+				t.row(cl.peak).leads = nil
 			}
 			cl.peak = nil
 			cl.ids, cl.seeds = nil, nil
@@ -309,7 +349,7 @@ func (t *dpTree) checkExtraction() string {
 			return "incremental member count differs from msdSubtrees"
 		}
 		for _, c := range cl.members {
-			if c.cluster != cl {
+			if t.row(c).cluster != cl {
 				return "member's cluster pointer does not match its cluster"
 			}
 		}
@@ -324,7 +364,7 @@ func (t *dpTree) checkExtraction() string {
 		}
 	}
 	for i, cl := range t.clusters {
-		if cl.peak.leads != cl {
+		if t.row(cl.peak).leads != cl {
 			return "peak's leads pointer out of sync"
 		}
 		if i > 0 && t.clusters[i-1].peak.id >= cl.peak.id {
@@ -341,7 +381,7 @@ func (t *dpTree) clusterBookkeepingInvariants() string {
 	assigned := 0
 	for _, cl := range t.clusters {
 		for i, c := range cl.members {
-			if c.cluster != cl || c.memberIdx != i {
+			if r := t.row(c); r.cluster != cl || int(r.member) != i {
 				return "cluster member bookkeeping out of sync"
 			}
 			if !c.active {
@@ -351,10 +391,11 @@ func (t *dpTree) clusterBookkeepingInvariants() string {
 		}
 	}
 	for _, c := range t.list {
-		if c.cluster == nil && t.extractValid && !c.dirtyMark {
+		r := t.row(c)
+		if r.cluster == nil && t.extractValid && !r.dirty {
 			return "active cell with no cluster and no dirty mark"
 		}
-		if c.leads != nil && c.leads.peak != c {
+		if r.leads != nil && r.leads.peak != c {
 			return "cell leads a cluster with a different peak"
 		}
 	}

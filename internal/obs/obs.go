@@ -8,21 +8,19 @@
 // server, not the clustering.
 //
 // The distribution tracker follows the slot-rotation design of
-// lock-free aggregative metrics libraries (see the hasansino/metrics
-// reference in /root/related): observations land in one of a fixed
-// ring of time slots through atomic operations only, stale slots are
-// reclaimed in place by the first writer of a new period, and a read
-// merges the live slots. Quantiles are computed exactly over the
-// retained samples of the window (each slot keeps a bounded sample
-// ring), so a freshly started server reports exact percentiles rather
-// than estimator warm-up noise; under load the per-slot rings cap
-// memory while still reflecting the most recent traffic. Writers
-// never take a lock and never allocate.
+// lock-free aggregative metrics libraries: observations land in one of
+// a fixed ring of time slots through atomic operations only, stale
+// slots are reclaimed in place by the first writer of a new period,
+// and a read merges the live slots. Each slot is a fixed log-linear
+// histogram (four linear sub-buckets per power of two), so a
+// distribution costs the same few kilobytes whatever its traffic,
+// every observation is counted, and a quantile read walks ~160
+// counters instead of sorting retained samples. Writers never take a
+// lock and never allocate.
 package obs
 
 import (
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,36 +58,86 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 // Value returns the current gauge value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Window geometry: the sliding window is slotCount slots of
-// slotNanos each (60 s total with the defaults), and each slot
-// retains up to slotSamples observations for exact quantile reads.
-// With more than slotSamples observations per slot the ring keeps the
-// most recent ones — the window then reflects the freshest traffic,
-// which is what an operational latency quantile is for.
+// Window geometry: the sliding window is slotCount slots of slotNanos
+// each (60 s total).
 const (
-	slotCount   = 6
-	slotNanos   = int64(10 * time.Second)
-	slotSamples = 512
+	slotCount = 6
+	slotNanos = int64(10 * time.Second)
 )
+
+// Histogram geometry. Bucket 0 holds everything below 2^minExp (zero
+// and negatives included), the last bucket everything from 2^maxExp
+// up; in between, each octave [2^e, 2^(e+1)) splits into subBuckets
+// equal-width buckets. The range spans ~60 ns to ~9 h for durations
+// in seconds and 1 to 32767 for sizes and counts.
+const (
+	subBits     = 2
+	subBuckets  = 1 << subBits
+	minExp      = -24
+	maxExp      = 15
+	bucketCount = 2 + (maxExp-minExp)*subBuckets
+)
+
+// bucketOf returns the histogram bucket of v.
+func bucketOf(v float64) int {
+	if !(v >= 1.0/(1<<-minExp)) { // also NaN
+		return 0
+	}
+	bits := math.Float64bits(v)
+	exp := int(bits>>52) - 1023 // v is normal: at least 2^minExp
+	if exp >= maxExp {
+		return bucketCount - 1
+	}
+	sub := int(bits>>(52-subBits)) & (subBuckets - 1)
+	return 1 + (exp-minExp)<<subBits + sub
+}
+
+// bucketValue is the value a quantile falling in bucket i reports:
+// for a bucket [a, b) the point 2ab/(a+b), whose relative distance to
+// either end is (b−a)/(a+b) — at most 1/9 with four sub-buckets per
+// octave, so any value in the bucket is within 11.1% of it. The two
+// open-ended buckets report the window's min and max.
+func bucketValue(i int, lo, hi float64) float64 {
+	switch i {
+	case 0:
+		return lo
+	case bucketCount - 1:
+		return hi
+	}
+	i--
+	base := math.Ldexp(1, minExp+i>>subBits)
+	a := base * (1 + float64(i&(subBuckets-1))/subBuckets)
+	b := a + base/subBuckets
+	return 2 * a * b / (a + b)
+}
 
 // sampleSlot is one time slot of a Sample's sliding window. All
 // fields are accessed atomically; epoch identifies the wall-clock
 // period the slot currently holds, and the first writer of a new
 // period reclaims the slot in place (observations racing that
-// rotation may land in a slot that is being reset and be dropped —
-// an accepted telemetry-grade tradeoff, never a data race).
+// rotation may land in a slot that is being reset and be dropped from
+// the window — an accepted telemetry-grade tradeoff, never a data
+// race; the cumulative count and sum always keep them).
 type sampleSlot struct {
-	epoch atomic.Int64
-	count atomic.Uint64
-	sum   atomicFloat
-	max   atomicFloat
-	ring  [slotSamples]atomic.Uint64
+	epoch    atomic.Int64
+	min, max atomicFloat
+	counts   [bucketCount]atomic.Uint32
+}
+
+// reset reclaims the slot for a new period.
+func (sl *sampleSlot) reset() {
+	sl.min.store(math.Inf(1))
+	sl.max.store(math.Inf(-1))
+	for i := range sl.counts {
+		sl.counts[i].Store(0)
+	}
 }
 
 // Sample tracks a sliding-window distribution of float64 observations
 // (latencies in seconds, batch sizes, ...). Observe is lock-free and
-// allocation-free; Stats merges the live slots. Create instances
-// through Registry.Sample or Registry.Timing.
+// allocation-free; Stats merges the live slots. Its footprint is fixed
+// (under 4 KiB) from creation on. Create instances through
+// Registry.Sample or Registry.Timing.
 type Sample struct {
 	name, labels string
 
@@ -106,6 +154,16 @@ type Sample struct {
 	now func() int64
 }
 
+// newSample returns a Sample whose slots all predate every period, so
+// the first observation of each slot reclaims it.
+func newSample(name, labels string, now func() int64) *Sample {
+	s := &Sample{name: name, labels: labels, now: now}
+	for i := range s.slots {
+		s.slots[i].epoch.Store(math.MinInt64)
+	}
+	return s
+}
+
 // Observe records one value.
 func (s *Sample) Observe(v float64) {
 	epoch := s.now() / slotNanos
@@ -117,21 +175,19 @@ func (s *Sample) Observe(v float64) {
 		}
 		if e > epoch {
 			// The slot already belongs to a newer period (clock skew
-			// between goroutines); dropping the observation is safer
-			// than polluting the newer slot.
+			// between goroutines); dropping the observation from the
+			// window is safer than polluting the newer slot.
+			s.totalCount.Add(1)
+			s.totalSum.add(v)
 			return
 		}
 		if slot.epoch.CompareAndSwap(e, epoch) {
-			// Winner of the rotation reclaims the slot in place.
-			slot.count.Store(0)
-			slot.sum.store(0)
-			slot.max.store(0)
+			slot.reset()
 			break
 		}
 	}
-	n := slot.count.Add(1)
-	slot.ring[(n-1)%slotSamples].Store(math.Float64bits(v))
-	slot.sum.add(v)
+	slot.counts[bucketOf(v)].Add(1)
+	slot.min.storeMin(v)
 	slot.max.storeMax(v)
 	s.totalCount.Add(1)
 	s.totalSum.add(v)
@@ -150,61 +206,57 @@ type Stats struct {
 }
 
 // Stats merges the live slots of the window into a summary. The
-// quantiles are exact over the window's retained samples
-// (nearest-rank); with zero observations in the window they are 0.
+// quantiles estimate the nearest-rank quantiles of the window's
+// observations: within 12.5% of the exact value for values between
+// 2^-24 and 2^15, never outside the window's min and max, and exact
+// for the lowest and highest rank (so a constant series reports its
+// value). With zero observations in the window they are 0.
 func (s *Sample) Stats() Stats {
-	buf := make([]float64, 0, slotCount*slotSamples)
-	return s.statsInto(buf)
-}
-
-// statsInto is Stats with a caller-provided scratch buffer (the
-// Prometheus writer reuses one across metrics).
-func (s *Sample) statsInto(buf []float64) Stats {
 	st := Stats{Count: s.totalCount.Load(), Sum: s.totalSum.load()}
+	var merged [bucketCount]uint64
+	lo, hi := math.Inf(1), math.Inf(-1)
 	nowEpoch := s.now() / slotNanos
 	oldest := nowEpoch - slotCount + 1
 	for i := range s.slots {
 		slot := &s.slots[i]
-		e := slot.epoch.Load()
-		if e < oldest || e > nowEpoch {
+		if e := slot.epoch.Load(); e < oldest || e > nowEpoch {
 			continue
 		}
-		n := slot.count.Load()
-		if n == 0 {
-			continue
+		for j := range slot.counts {
+			merged[j] += uint64(slot.counts[j].Load())
 		}
-		st.WindowCount += n
-		if m := slot.max.load(); m > st.WindowMax {
-			st.WindowMax = m
-		}
-		retained := n
-		if retained > slotSamples {
-			retained = slotSamples
-		}
-		for j := uint64(0); j < retained; j++ {
-			buf = append(buf, math.Float64frombits(slot.ring[j].Load()))
-		}
+		lo = min(lo, slot.min.load())
+		hi = max(hi, slot.max.load())
 	}
-	if len(buf) == 0 {
+	for _, n := range merged {
+		st.WindowCount += n
+	}
+	if st.WindowCount == 0 || lo > hi {
+		// Empty, or every live slot was caught mid-rotation.
 		return st
 	}
-	slices.Sort(buf)
-	st.P50 = quantile(buf, 0.50)
-	st.P90 = quantile(buf, 0.90)
-	st.P99 = quantile(buf, 0.99)
+	st.WindowMax = hi
+	qs := [...]float64{0.50, 0.90, 0.99}
+	out := [...]*float64{&st.P50, &st.P90, &st.P99}
+	var cum uint64
+	b := 0
+	for k, q := range qs {
+		rank := uint64(math.Ceil(q * float64(st.WindowCount)))
+		rank = max(rank, 1)
+		for cum+merged[b] < rank {
+			cum += merged[b]
+			b++
+		}
+		switch rank {
+		case 1:
+			*out[k] = lo
+		case st.WindowCount:
+			*out[k] = hi
+		default:
+			*out[k] = min(max(bucketValue(b, lo, hi), lo), hi)
+		}
+	}
 	return st
-}
-
-// quantile returns the nearest-rank q-quantile of a sorted slice.
-func quantile(sorted []float64, q float64) float64 {
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 // Timing is a Sample observing durations, stored as float seconds
@@ -230,6 +282,18 @@ func (f *atomicFloat) add(delta float64) {
 		old := f.bits.Load()
 		nv := math.Float64bits(math.Float64frombits(old) + delta)
 		if f.bits.CompareAndSwap(old, nv) {
+			return
+		}
+	}
+}
+
+func (f *atomicFloat) storeMin(v float64) {
+	for {
+		old := f.bits.Load()
+		if math.Float64frombits(old) <= v {
+			return
+		}
+		if f.bits.CompareAndSwap(old, math.Float64bits(v)) {
 			return
 		}
 	}
@@ -311,10 +375,36 @@ func (r *Registry) Sample(name, labels string) *Sample {
 	k := metricKey(name, labels)
 	s, ok := r.samples[k]
 	if !ok {
-		s = &Sample{name: name, labels: labels, now: r.now}
+		s = newSample(name, labels, r.now)
 		r.samples[k] = s
 	}
 	return s
+}
+
+// Unregister removes every counter, gauge and distribution registered
+// under exactly the given labels (a stream's `stream="<name>"` set
+// when the stream leaves memory), so neither their series nor their
+// storage outlive it. Instruments handed out earlier keep working but
+// are no longer exported; asking for the same (name, labels) again
+// registers fresh ones, which Prometheus reads as a counter reset.
+func (r *Registry) Unregister(labels string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for k, c := range r.counters {
+		if c.labels == labels {
+			delete(r.counters, k)
+		}
+	}
+	for k, g := range r.gauges {
+		if g.labels == labels {
+			delete(r.gauges, k)
+		}
+	}
+	for k, s := range r.samples {
+		if s.labels == labels {
+			delete(r.samples, k)
+		}
+	}
 }
 
 // Timing returns a duration-valued Sample registered under (name,

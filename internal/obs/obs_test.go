@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // fakeClock drives Sample rotation deterministically.
@@ -57,7 +58,13 @@ func TestCounterAndGauge(t *testing.T) {
 	}
 }
 
-func TestSampleExactQuantilesSmall(t *testing.T) {
+// withinBound reports whether est is within the histogram's relative
+// error bound of the exact value.
+func withinBound(est, exact float64) bool {
+	return math.Abs(est-exact) <= 0.125*math.Abs(exact)
+}
+
+func TestSampleQuantilesSmall(t *testing.T) {
 	r, _ := newTestRegistry()
 	s := r.Sample("batch_size", "")
 	for v := 1; v <= 100; v++ {
@@ -73,9 +80,9 @@ func TestSampleExactQuantilesSmall(t *testing.T) {
 	if st.WindowMax != 100 {
 		t.Errorf("max = %g, want 100", st.WindowMax)
 	}
-	// Nearest-rank over 1..100: exact.
-	if st.P50 != 50 || st.P90 != 90 || st.P99 != 99 {
-		t.Errorf("quantiles = %g/%g/%g, want 50/90/99", st.P50, st.P90, st.P99)
+	// Nearest-rank over 1..100 is 50/90/99.
+	if !withinBound(st.P50, 50) || !withinBound(st.P90, 90) || !withinBound(st.P99, 99) {
+		t.Errorf("quantiles = %g/%g/%g, want within 12.5%% of 50/90/99", st.P50, st.P90, st.P99)
 	}
 }
 
@@ -105,23 +112,25 @@ func TestSampleWindowSlides(t *testing.T) {
 	}
 }
 
-func TestSampleRingKeepsRecent(t *testing.T) {
+// TestSampleCountsEveryObservation: a slot keeps no bounded sample, so
+// every observation of a busy slot counts toward the window quantiles,
+// not only the most recent ones.
+func TestSampleCountsEveryObservation(t *testing.T) {
 	r, _ := newTestRegistry()
 	s := r.Sample("latency", "")
-	// Overflow one slot's ring: early small values must be displaced
-	// by the most recent ones.
-	for i := 0; i < slotSamples; i++ {
+	const n = 5000
+	for i := 0; i < n; i++ {
 		s.Observe(1)
 	}
-	for i := 0; i < slotSamples; i++ {
+	for i := 0; i < n/4; i++ {
 		s.Observe(2)
 	}
 	st := s.Stats()
-	if st.P50 != 2 {
-		t.Errorf("ring did not keep the most recent samples: p50 = %g", st.P50)
+	if st.WindowCount != n+n/4 {
+		t.Errorf("window count = %d, want %d", st.WindowCount, n+n/4)
 	}
-	if st.WindowCount != 2*slotSamples {
-		t.Errorf("window count = %d, want %d", st.WindowCount, 2*slotSamples)
+	if !withinBound(st.P50, 1) || !withinBound(st.P90, 2) || st.P99 != 2 {
+		t.Errorf("quantiles = %g/%g/%g, want ≈1/≈2/2", st.P50, st.P90, st.P99)
 	}
 }
 
@@ -231,17 +240,16 @@ func TestConcurrentObserve(t *testing.T) {
 	}
 }
 
-// fillWindow fills every slot of a Sample's window with slotSamples
-// random values, one slot per period, and returns all of them: with
-// exactly slotSamples observations per slot, every value is retained.
-func fillWindow(s *Sample, clk *fakeClock, rng *rand.Rand) []float64 {
-	var all []float64
+// fillWindow spreads n values drawn by next over every slot of a
+// Sample's window, one slot per period, and returns all of them.
+func fillWindow(s *Sample, clk *fakeClock, n int, next func() float64) []float64 {
+	all := make([]float64, 0, n)
 	for slot := 0; slot < slotCount; slot++ {
 		if slot > 0 {
 			clk.advance(time.Duration(slotNanos))
 		}
-		for i := 0; i < slotSamples; i++ {
-			v := rng.ExpFloat64()
+		for i := 0; i < n/slotCount; i++ {
+			v := next()
 			s.Observe(v)
 			all = append(all, v)
 		}
@@ -249,41 +257,130 @@ func fillWindow(s *Sample, clk *fakeClock, rng *rand.Rand) []float64 {
 	return all
 }
 
-// TestSampleQuantilesMatchSortedNearestRank pins the quantiles of a
-// full window of random data to nearest-rank quantiles computed
-// independently over sort.Float64s of the same values.
-func TestSampleQuantilesMatchSortedNearestRank(t *testing.T) {
-	r, clk := newTestRegistry()
-	s := r.Sample("lat", "")
-	all := fillWindow(s, clk, rand.New(rand.NewSource(7)))
-	sort.Float64s(all)
-	rank := func(q float64) float64 {
-		return all[int(math.Ceil(q*float64(len(all))))-1]
-	}
-	st := s.Stats()
-	if st.WindowCount != uint64(len(all)) {
-		t.Fatalf("window count = %d, want %d", st.WindowCount, len(all))
-	}
-	if st.P50 != rank(0.50) || st.P90 != rank(0.90) || st.P99 != rank(0.99) {
-		t.Errorf("quantiles = %g/%g/%g, want %g/%g/%g",
-			st.P50, st.P90, st.P99, rank(0.50), rank(0.90), rank(0.99))
-	}
-	if st.WindowMax != all[len(all)-1] {
-		t.Errorf("max = %g, want %g", st.WindowMax, all[len(all)-1])
+// TestSampleQuantilesWithinBound checks the window quantiles of full
+// windows against nearest-rank quantiles computed independently over
+// sort.Float64s of the same values: each within 12.5% and inside the
+// window's [min, max].
+func TestSampleQuantilesWithinBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, tc := range []struct {
+		name string
+		next func() float64
+	}{
+		{"uniform", func() float64 { return rng.Float64() * 0.01 }},
+		{"exponential", rng.ExpFloat64},
+		{"pareto", func() float64 { return 1e-4 / math.Pow(1-rng.Float64(), 1/1.2) }},
+		{"lognormal", func() float64 { return math.Exp(rng.NormFloat64()*3 - 6) }},
+		{"constant", func() float64 { return 128 }},
+		{"small-integers", func() float64 { return float64(1 + rng.Intn(6)) }},
+		{"batch-sizes", func() float64 { return float64(1 + rng.Intn(4096)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, n := range []int{6, 60, 3000, 60000} {
+				r, clk := newTestRegistry()
+				s := r.Sample("lat", "")
+				all := fillWindow(s, clk, n, tc.next)
+				sort.Float64s(all)
+				st := s.Stats()
+				if st.WindowCount != uint64(len(all)) {
+					t.Fatalf("n=%d: window count = %d, want %d", n, st.WindowCount, len(all))
+				}
+				if st.WindowMax != all[len(all)-1] {
+					t.Errorf("n=%d: max = %g, want %g", n, st.WindowMax, all[len(all)-1])
+				}
+				for _, q := range []struct {
+					q   float64
+					got float64
+				}{{0.50, st.P50}, {0.90, st.P90}, {0.99, st.P99}} {
+					exact := all[int(math.Ceil(q.q*float64(len(all))))-1]
+					if !withinBound(q.got, exact) || q.got < all[0] || q.got > all[len(all)-1] {
+						t.Errorf("n=%d: q%g = %g, exact %g, range [%g, %g]", n, q.q, q.got, exact, all[0], all[len(all)-1])
+					}
+				}
+				if tc.name == "constant" && (st.P50 != 128 || st.P90 != 128 || st.P99 != 128) {
+					t.Errorf("n=%d: constant series reports %g/%g/%g, want 128", n, st.P50, st.P90, st.P99)
+				}
+			}
+		})
 	}
 }
 
-// BenchmarkSampleStats measures one Stats read over a full window
-// (slotCount × slotSamples retained samples): the cost every /metrics
-// and /v1/stats scrape pays per distribution.
+// TestBucketValueBound pins the per-bucket error: every value of every
+// bounded bucket lies within 12.5% of the value the bucket reports.
+func TestBucketValueBound(t *testing.T) {
+	for e := minExp; e < maxExp; e++ {
+		for k := 0; k <= 64; k++ {
+			v := math.Ldexp(1+float64(k)/64, e)
+			if k == 64 {
+				v = math.Nextafter(v, 0) // the top of the octave
+			}
+			b := bucketOf(v)
+			if b == 0 || b == bucketCount-1 {
+				t.Fatalf("%g lands in an open-ended bucket", v)
+			}
+			if rep := bucketValue(b, 0, math.Inf(1)); !withinBound(rep, v) {
+				t.Fatalf("%g reports as %g", v, rep)
+			}
+		}
+	}
+	if bucketOf(0) != 0 || bucketOf(-1) != 0 || bucketOf(math.NaN()) != 0 {
+		t.Error("zero, negatives and NaN must land in the underflow bucket")
+	}
+	if bucketOf(math.Ldexp(1, maxExp)) != bucketCount-1 || bucketOf(math.Inf(1)) != bucketCount-1 {
+		t.Error("values from 2^maxExp up must land in the overflow bucket")
+	}
+}
+
+// TestSampleFootprint: a distribution costs at most 4 KiB, allocated
+// once, and observing allocates nothing whatever the traffic.
+func TestSampleFootprint(t *testing.T) {
+	if sz := unsafe.Sizeof(Sample{}); sz > 4096 {
+		t.Errorf("Sample is %d bytes, want at most 4096", sz)
+	}
+	r, _ := newTestRegistry()
+	s := r.Sample("lat", "")
+	v := 0.0
+	if allocs := testing.AllocsPerRun(1000, func() { v += 1e-3; s.Observe(v) }); allocs != 0 {
+		t.Errorf("Observe allocates %v times per call", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = s.Stats() }); allocs != 0 {
+		t.Errorf("Stats allocates %v times per call", allocs)
+	}
+}
+
+// TestUnregister: removing a label set drops exactly its instruments
+// from the registry and the exposition, and asking again starts fresh.
+func TestUnregister(t *testing.T) {
+	r, _ := newTestRegistry()
+	keep := r.Counter("batches_total", `stream="a"`)
+	gone := r.Counter("batches_total", `stream="b"`)
+	keep.Add(2)
+	gone.Add(3)
+	r.Gauge("pending", `stream="b"`).Set(1)
+	r.Sample("batch_points", `stream="b"`).Observe(4)
+	r.Unregister(`stream="b"`)
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if out := b.String(); strings.Contains(out, `stream="b"`) || !strings.Contains(out, `batches_total{stream="a"} 2`) {
+		t.Errorf("unexpected exposition after Unregister:\n%s", out)
+	}
+	if again := r.Counter("batches_total", `stream="b"`); again == gone || again.Value() != 0 {
+		t.Error("re-registering after Unregister must return a fresh counter")
+	}
+}
+
+// BenchmarkSampleStats measures one Stats read over a full window: the
+// cost every /metrics and /v1/stats scrape pays per distribution.
 func BenchmarkSampleStats(b *testing.B) {
 	r, clk := newTestRegistry()
 	s := r.Sample("lat", "")
-	fillWindow(s, clk, rand.New(rand.NewSource(7)))
-	buf := make([]float64, 0, slotCount*slotSamples)
+	rng := rand.New(rand.NewSource(7))
+	fillWindow(s, clk, 3072, rng.ExpFloat64)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = s.statsInto(buf[:0])
+		_ = s.Stats()
 	}
 }

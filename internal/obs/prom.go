@@ -67,13 +67,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(&b, "%s %d\n", series(g.name, g.labels, ""), g.Value())
 	}
 	prevName = ""
-	buf := make([]float64, 0, slotCount*slotSamples)
 	for _, s := range samples {
 		if s.name != prevName {
 			fmt.Fprintf(&b, "# TYPE %s summary\n", s.name)
 			prevName = s.name
 		}
-		st := s.statsInto(buf[:0])
+		st := s.Stats()
 		fmt.Fprintf(&b, "%s %g\n", series(s.name, s.labels, `quantile="0.5"`), st.P50)
 		fmt.Fprintf(&b, "%s %g\n", series(s.name, s.labels, `quantile="0.9"`), st.P90)
 		fmt.Fprintf(&b, "%s %g\n", series(s.name, s.labels, `quantile="0.99"`), st.P99)

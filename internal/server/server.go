@@ -494,6 +494,7 @@ func (st *stream) shutdownClose() error {
 			err = serr
 		}
 	}
+	st.release()
 	return err
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"github.com/densitymountain/edmstream"
 	"github.com/densitymountain/edmstream/internal/archive"
+	"github.com/densitymountain/edmstream/internal/obs"
 	"github.com/densitymountain/edmstream/internal/tenant"
 )
 
@@ -47,8 +48,12 @@ const MinMemoryBudget = streamBaseBytes
 // the Server keeps only the shared substrate (HTTP, admission,
 // registry, budget).
 type stream struct {
-	name   string
-	labels string // `stream="<name>"`, on every per-stream instrument
+	name string
+	// labels is `stream="<name>"`, on every per-stream instrument in
+	// reg; the instruments live exactly as long as the stream is
+	// resident (see release).
+	labels string
+	reg    *obs.Registry
 	c      *edmstream.Clusterer
 	coal   *coalescer
 	dur    *durability
@@ -125,13 +130,20 @@ func (s *Server) buildStream(name string) (*stream, error) {
 // engine: archive restore + shipper (when configured), WAL recovery,
 // degraded-mode state, and the coalescer with its writer goroutine.
 // Used for the eagerly built default stream and every factory-built
-// named stream alike.
-func (s *Server) assembleStream(name string, c *edmstream.Clusterer) (*stream, error) {
+// named stream alike. It registers the stream's instruments; a stream
+// that fails assembly leaves none behind.
+func (s *Server) assembleStream(name string, c *edmstream.Clusterer) (_ *stream, err error) {
 	st := &stream{
 		name:   name,
 		labels: `stream="` + name + `"`,
+		reg:    s.reg,
 		c:      c,
 	}
+	defer func() {
+		if err != nil {
+			st.release()
+		}
+	}()
 	dir := streamDir(s.cfg.DataDir, name)
 	if dir != "" {
 		if s.store != nil {
@@ -223,8 +235,16 @@ func (st *stream) Evict() error {
 	if st.ship != nil {
 		_ = st.ship.Close(5 * time.Second)
 	}
+	st.release()
 	return nil
 }
+
+// release drops the stream's instruments from the telemetry registry
+// once it has left memory (evicted or closed at shutdown): /metrics
+// names only resident streams, and an evicted stream's distributions
+// are freed with it. Revival registers fresh instruments, so the
+// stream's counters restart, which Prometheus reads as a reset.
+func (st *stream) release() { st.reg.Unregister(st.labels) }
 
 // flushHook runs under writer ownership after every committed batch:
 // if the flush recorded new evolution events, wake this stream's

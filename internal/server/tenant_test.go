@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -433,6 +434,88 @@ func TestStreamAdminEvictRevive(t *testing.T) {
 	if st.Server.Tenancy.Evictions != 1 || st.Server.Tenancy.Revivals != 1 {
 		t.Errorf("tenancy ledger = %d evictions / %d revivals, want 1/1",
 			st.Server.Tenancy.Evictions, st.Server.Tenancy.Revivals)
+	}
+}
+
+// evictStream force-evicts one named stream through the admin
+// endpoint, retrying while its writer finishes the last batch.
+func evictStream(t *testing.T, base, name string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		code, _ := doReq(t, "DELETE", base+"/v1/streams/"+name, nil)
+		if code == http.StatusOK {
+			return
+		}
+		if code != http.StatusConflict || time.Now().After(deadline) {
+			t.Fatalf("DELETE %s: status %d", name, code)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// liveHeap returns the heap in use after a full collection.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestEvictionReleasesStreamMemory: evicting a stream gives its memory
+// back. After N durable named streams are created, fed and evicted,
+// /metrics names none of them and the heap is within 8 KB per stream
+// of where it started (one stream's distributions alone take ~24 KB,
+// so instruments outliving their stream exceed it); reviving one
+// brings its series back.
+func TestEvictionReleasesStreamMemory(t *testing.T) {
+	cfg := tenantConfig()
+	cfg.DataDir = t.TempDir()
+	_, _, base := startServer(t, testOptions(), cfg)
+	feed := func(name string) {
+		t.Helper()
+		var ack ingestResponse
+		if resp := postJSON(t, base+"/v1/"+name+"/ingest", twoBlobPoints(300, 3), &ack); resp.StatusCode != http.StatusOK {
+			t.Fatalf("ingest %s: status %d", name, resp.StatusCode)
+		}
+	}
+	// One stream's round trip first, so one-time costs (buffer pools,
+	// connections, lazily built tables) are paid before the baseline.
+	feed("warm")
+	evictStream(t, base, "warm")
+	before := liveHeap()
+
+	const n = 32
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("s%d", i)
+		feed(name)
+		if m := getBody(t, base+"/metrics"); !strings.Contains(m, `stream="`+name+`"`) {
+			t.Fatalf("resident stream %s has no series", name)
+		}
+		evictStream(t, base, name)
+	}
+	metrics := getBody(t, base+"/metrics")
+	for i := 0; i < n; i++ {
+		if name := fmt.Sprintf(`stream="s%d"`, i); strings.Contains(metrics, name) {
+			t.Fatalf("/metrics still names evicted %s", name)
+		}
+	}
+	after := liveHeap()
+	grown := int64(after) - int64(before)
+	t.Logf("heap %d -> %d B over %d evicted streams", before, after, n)
+	if grown > n*8<<10 {
+		t.Errorf("heap grew %d B over %d evicted streams (%d B each), want at most 8 KB each", grown, n, grown/n)
+	}
+
+	// Revival registers the stream's instruments again, counters
+	// restarted.
+	if code, _ := fetch(t, "GET", base+"/v1/s7/snapshot", nil); code != http.StatusOK {
+		t.Fatalf("revival read status %d", code)
+	}
+	metrics = getBody(t, base+"/metrics")
+	if !strings.Contains(metrics, `edmserved_coalescer_batches_total{stream="s7"} 0`) {
+		t.Errorf("revived stream's series missing or not restarted:\n%.3000s", metrics)
 	}
 }
 
