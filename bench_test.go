@@ -417,6 +417,57 @@ func BenchmarkRefresh(b *testing.B) {
 	}
 }
 
+// BenchmarkAssignBatch measures the query path (not in the paper): one
+// AssignBatch of 128 lattice points against the published snapshot of
+// the warmed-up lattice workload (BenchmarkRefresh's serving regime).
+// ns/op is the steady-state cost of a batch, the query index built
+// once per publication being shared; ns/build is the first batch after
+// a publication, which builds that index. The engine runs the full
+// extraction so that every refresh publishes a new snapshot (the
+// clustering is identical to the incremental one's).
+func BenchmarkAssignBatch(b *testing.B) {
+	const (
+		rate    = 1000.0
+		warmup  = 100000
+		batch   = 128
+		batches = 64
+		builds  = 10
+	)
+	pts := bench.LatticeStream(warmup+batch*batches, 1, rate)
+	edm, err := core.New(core.Config{
+		Radius: 1.0, Rate: rate, Decay: stream.Decay{A: 0.99999, Lambda: rate},
+		Beta: 3e-5, Tau: 6.0, InitPoints: 500,
+		IndexPolicy: core.IndexGrid, EvolutionInterval: -1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	edm.SetFullExtraction(true)
+	for i := 0; i < warmup; i += 256 {
+		if err := edm.InsertBatch(pts[i:min(i+256, warmup)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	probes := pts[warmup:]
+	dst := make([]int, 0, batch)
+	var build time.Duration
+	for i := 0; i < builds; i++ {
+		edm.Refresh()
+		t0 := time.Now()
+		dst = edm.AssignBatch(probes[:batch], dst)
+		build += time.Since(t0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % batches * batch
+		dst = edm.AssignBatch(probes[j:j+batch], dst)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(build.Nanoseconds())/builds, "ns/build")
+	b.ReportMetric(float64(edm.LastSnapshot().ActiveCells), "active_cells")
+}
+
 // BenchmarkInsert measures the raw per-point insertion cost of
 // EDMStream (the quantity behind the paper's "7–23 µs per update"
 // claim), on the KDD-like workload.

@@ -160,6 +160,12 @@ type ckptState struct {
 	TunerTau      float64
 	TunerAlpha    float64
 	IndexKind     string
+	// SeedWidth is the seed column's row width plus one. gob omits a
+	// zero field, and an empty vector is a legal point, so 0 stands for
+	// "no width": the stream has seen no vector, or the checkpoint comes
+	// from a build that did not store it and restore derives it from
+	// the seeds.
+	SeedWidth int
 
 	Cells     []ckptCell
 	ActiveIDs []int64
@@ -214,6 +220,7 @@ func (e *EDMStream) EncodeCheckpoint(w io.Writer) error {
 		TunerTau:      e.tuner.tau,
 		TunerAlpha:    e.tuner.alpha,
 		IndexKind:     e.IndexKind(),
+		SeedWidth:     e.seeds.Dim() + 1,
 
 		ClustersSorted: e.tree.clustersSorted,
 		ExtractTau:     e.tree.extractTau,
@@ -404,13 +411,21 @@ func (e *EDMStream) restore(st *ckptState) error {
 		return fmt.Errorf("core: checkpoint has unknown index kind %q", st.IndexKind)
 	}
 
+	// The seed column's width outlives the vectors that fixed it (see
+	// admit), so it is restored even when no numeric cell survives.
+	// Without a stored width, the first numeric seed fixes it.
+	switch {
+	case st.SeedWidth < 0:
+		return fmt.Errorf("core: checkpoint has seed width %d", st.SeedWidth-1)
+	case st.SeedWidth > 0:
+		e.seeds.Fix(st.SeedWidth - 1)
+	}
+
 	// Pass 1: materialize cells in ID order. Inserting into the seed
 	// index in ID order is exact: every index search resolves distance
 	// ties toward the lowest cell ID, so insertion order (and the slots
 	// the cells receive) is not observable. byID resolves the IDs the
 	// checkpoint names for the rest of the restore.
-	// The vector dimensionality is re-derived, not stored: the first
-	// numeric seed fixes the seed column's width (see admit).
 	byID := make(map[int64]*Cell, len(st.Cells))
 	for i := range st.Cells {
 		cc := &st.Cells[i]

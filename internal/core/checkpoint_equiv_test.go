@@ -422,3 +422,35 @@ func TestCheckpointRejectsInconsistentState(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckpointKeepsSeedWidth restores a stream whose only vector has
+// expired: one [0,0], then token sets until the numeric cell is
+// deleted. The live engine keeps rejecting other widths, and so must
+// the one restored from its checkpoint, though no seed is left to
+// derive the width from.
+func TestCheckpointKeepsSeedWidth(t *testing.T) {
+	cfg := Config{Radius: 0.5, Tau: 1, InitPoints: 10, DeleteDelay: 1}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := []stream.Point{{Vector: []float64{0, 0}, Label: stream.NoLabel}}
+	for i := 0; i < 400; i++ {
+		pts = append(pts, stream.Point{ID: int64(i + 1), Tokens: distance.NewTokenSet("a", "b"),
+			Label: stream.NoLabel, Time: float64(i+1) / 100})
+	}
+	if err := e.InsertBatch(pts); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range e.cells.bySlot {
+		if c != nil && !c.seed.IsText() {
+			t.Fatalf("numeric cell %d survives; the stream must outlive it", c.id)
+		}
+	}
+	wide := stream.Point{Vector: []float64{1, 2, 3}, Label: stream.NoLabel, Time: 5}
+	for name, eng := range map[string]*EDMStream{"restored": roundTrip(t, e), "live": e} {
+		if err := eng.Insert(wide); err == nil || !strings.Contains(err.Error(), "3-d vector on a 2-d stream") {
+			t.Fatalf("%s engine: Insert([1,2,3]) = %v, want a width error", name, err)
+		}
+	}
+}

@@ -123,15 +123,78 @@ type probe struct {
 // contract — so publishing is O(clusters), not O(cells).
 type published struct {
 	snap Snapshot
-	// assign holds the frozen query index for this snapshot, built
+	// assign holds the query index over this snapshot's seeds, built
 	// lazily by the first Assign call and then shared. When membership
 	// did not change between refreshes the holder itself is carried
 	// forward, so steady-state refreshes never invalidate the index.
 	assign *assignHolder
 }
 
+// assignHolder publishes a snapshot's query index once built.
 type assignHolder struct {
-	frozen atomic.Pointer[index.Frozen]
+	idx atomic.Pointer[assignIndex]
+}
+
+// assignIndex is the query index of one publication, built from the
+// engine's own index types: a column holding the published seeds, a
+// grid over it under the IndexAuto rule (a linear scan otherwise) and
+// each slot's cluster ID. Nothing mutates it once built, so any number
+// of readers probe it at once, each with its own stack scratch.
+type assignIndex struct {
+	radius  float64
+	seeds   index.Seeds
+	grid    *index.Grid
+	linear  *index.Linear
+	cluster []int
+}
+
+// newAssignIndex indexes every seed of the published clusters, slot i
+// holding the i-th seed in cluster order.
+func newAssignIndex(clusters []ClusterInfo, radius float64) *assignIndex {
+	a := &assignIndex{radius: radius}
+	var idx index.SeedIndex
+	for ci := range clusters {
+		cl := &clusters[ci]
+		for i, id := range cl.CellIDs {
+			p := cl.SeedPoints[i]
+			if idx == nil {
+				if autoGrid(p) {
+					a.grid = index.NewGrid(radius, &a.seeds)
+					idx = a.grid
+				} else {
+					a.linear = index.NewLinear()
+					idx = a.linear
+				}
+			}
+			slot := int32(len(a.cluster))
+			a.seeds.Put(slot, p.Vector)
+			idx.Insert(slot, id, p)
+			a.cluster = append(a.cluster, cl.ID)
+		}
+	}
+	return a
+}
+
+// assign returns the cluster of the published seed nearest to p within
+// the cell radius. A vector of another width than the seeds' is an
+// outlier, like a point no seed is near.
+func (a *assignIndex) assign(p stream.Point) (int, bool) {
+	if !p.IsText() && len(p.Vector) != a.seeds.Dim() {
+		return 0, false
+	}
+	var slot int32
+	var ok bool
+	switch {
+	case a.grid != nil:
+		var rows [index.ProbeRows * maxAutoGridDim]int64
+		slot, _, ok = a.grid.NearestWithin(p, a.radius, nil, rows[:])
+	case a.linear != nil:
+		slot, _, ok = a.linear.NearestWithin(p, a.radius, nil, nil)
+	}
+	if !ok {
+		return 0, false
+	}
+	return a.cluster[slot], true
 }
 
 // statsMirror holds the atomically readable copy of every Stats field,
@@ -172,6 +235,13 @@ func New(cfg Config) (*EDMStream, error) {
 // scan on realistic cell counts.
 const maxAutoGridDim = 8
 
+// autoGrid is the IndexAuto rule, applied to a stream's first point
+// and to a publication's first seed: a grid for a numeric vector of 1
+// to maxAutoGridDim coordinates, a linear scan otherwise.
+func autoGrid(p stream.Point) bool {
+	return !p.IsText() && p.Dim() > 0 && p.Dim() <= maxAutoGridDim
+}
+
 // ensureIndex resolves the nearest-seed index from the first observed
 // point: grid for Euclidean streams within the policy's
 // dimensionality budget, linear scan otherwise. The grid is shared
@@ -187,7 +257,7 @@ func (e *EDMStream) ensureIndex(p stream.Point) {
 		useGrid = !p.IsText()
 	case IndexLinear:
 	default: // IndexAuto
-		useGrid = !p.IsText() && p.Dim() > 0 && p.Dim() <= maxAutoGridDim
+		useGrid = autoGrid(p)
 	}
 	if useGrid {
 		g := index.NewGrid(e.cfg.Radius, &e.seeds)
@@ -583,7 +653,7 @@ func (e *EDMStream) flushRun(run *absorbRun) {
 // filter applies (Theorem 2 skips are optional, never required).
 func (e *EDMStream) nearestSeed(p stream.Point) (*Cell, float64, bool) {
 	e.probeStamp = e.stats.Points
-	slot, d, ok := e.seedIdx.NearestWithin(p, e.cfg.Radius, e.onProbe)
+	slot, d, ok := e.seedIdx.NearestWithin(p, e.cfg.Radius, e.onProbe, nil)
 	if !ok {
 		return nil, 0, false
 	}
@@ -1155,7 +1225,7 @@ func (e *EDMStream) Assign(p stream.Point) (int, bool) {
 	if pub == nil {
 		return 0, false
 	}
-	return e.frozenIndex(pub).Assign(p)
+	return e.assignIndex(pub).assign(p)
 }
 
 // AssignBatch classifies every point in pts against one consistent
@@ -1171,9 +1241,9 @@ func (e *EDMStream) AssignBatch(pts []stream.Point, dst []int) []int {
 		}
 		return dst
 	}
-	idx := e.frozenIndex(pub)
+	idx := e.assignIndex(pub)
 	for i := range pts {
-		if id, ok := idx.Assign(pts[i]); ok {
+		if id, ok := idx.assign(pts[i]); ok {
 			dst = append(dst, id)
 		} else {
 			dst = append(dst, AssignOutlier)
@@ -1186,27 +1256,20 @@ func (e *EDMStream) AssignBatch(pts []stream.Point, dst []int) []int {
 // cluster claims.
 const AssignOutlier = -1
 
-// frozenIndex returns the query index for the published state,
+// assignIndex returns the query index for the published state,
 // building it on first use. Concurrent first queries may build it
 // twice; the CAS keeps exactly one and the loser's work is discarded
 // (the index derives deterministically from the immutable snapshot,
 // so both candidates are interchangeable).
-func (e *EDMStream) frozenIndex(pub *published) *index.Frozen {
-	if f := pub.assign.frozen.Load(); f != nil {
-		return f
+func (e *EDMStream) assignIndex(pub *published) *assignIndex {
+	if a := pub.assign.idx.Load(); a != nil {
+		return a
 	}
-	b := index.NewFrozenBuilder(e.cfg.Radius)
-	for ci := range pub.snap.Clusters {
-		cl := &pub.snap.Clusters[ci]
-		for i, id := range cl.CellIDs {
-			b.Add(id, cl.SeedPoints[i], cl.ID)
-		}
+	a := newAssignIndex(pub.snap.Clusters, e.cfg.Radius)
+	if !pub.assign.idx.CompareAndSwap(nil, a) {
+		a = pub.assign.idx.Load()
 	}
-	f := b.Freeze()
-	if !pub.assign.frozen.CompareAndSwap(nil, f) {
-		f = pub.assign.frozen.Load()
-	}
-	return f
+	return a
 }
 
 // CheckInvariants validates the DP-Tree invariants; it returns an error

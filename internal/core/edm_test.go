@@ -523,7 +523,8 @@ func TestInsertErrors(t *testing.T) {
 // first numeric point fixes it, a vector of another width is rejected
 // by every insert path with no state change (never a panic or a silent
 // accept), token-set points stay legal beside vectors, a checkpoint
-// re-derives the width from its seeds, and Assign answers a probe of
+// restores the width it stores (one from an older build without it
+// re-derives the width from its seeds), and Assign answers a probe of
 // another width as an outlier.
 func TestVectorDimensionality(t *testing.T) {
 	cfg := Config{Radius: 0.8, Tau: 3, InitPoints: 100}
@@ -597,13 +598,28 @@ func TestVectorDimensionality(t *testing.T) {
 			}
 			return e.InsertBatch([]stream.Point{text, vec(1, 2, 3), vec(4, 5, 6)})
 		}, ""},
-		{"restore-rederives", trained, func(t *testing.T, e *EDMStream) error {
+		{"restore-keeps-width", trained, func(t *testing.T, e *EDMStream) error {
 			r, err := reencode(t, e, func(*ckptState) {})
 			if err != nil {
 				t.Fatalf("restore: %v", err)
 			}
 			return r.Insert(vec(0, 0, 0))
 		}, "3-d vector on a 2-d stream"},
+		{"restore-rederives", trained, func(t *testing.T, e *EDMStream) error {
+			r, err := reencode(t, e, func(st *ckptState) { st.SeedWidth = 0 })
+			if err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			return r.Insert(vec(0, 0, 0))
+		}, "3-d vector on a 2-d stream"},
+		{"restore-seeds-wider-than-width", trained, func(t *testing.T, e *EDMStream) error {
+			_, err := reencode(t, e, func(st *ckptState) { st.SeedWidth = 2 })
+			return err
+		}, "2-d seed on a 1-d stream"},
+		{"restore-negative-width", trained, func(t *testing.T, e *EDMStream) error {
+			_, err := reencode(t, e, func(st *ckptState) { st.SeedWidth = -1 })
+			return err
+		}, "seed width -2"},
 		{"restore-mismatched-seed", trained, func(t *testing.T, e *EDMStream) error {
 			_, err := reencode(t, e, func(st *ckptState) {
 				last := &st.Cells[len(st.Cells)-1].Seed

@@ -32,20 +32,6 @@ func Coords(coords []int) Key {
 	return Key(b.String())
 }
 
-// ParseKey converts a Key back to integer coordinates.
-func ParseKey(k Key) ([]int, error) {
-	parts := strings.Split(string(k), ",")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, fmt.Errorf("grid: bad key %q: %w", k, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 // Cell is one occupied grid cell with a decayed density.
 type Cell struct {
 	// Coords are the cell's integer coordinates.

@@ -9,23 +9,6 @@ import (
 
 func testDecay() stream.Decay { return stream.Decay{A: 0.998, Lambda: 1000} }
 
-func TestKeyRoundTrip(t *testing.T) {
-	coords := []int{3, -7, 0, 12}
-	key := Coords(coords)
-	got, err := ParseKey(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range coords {
-		if got[i] != coords[i] {
-			t.Fatalf("round trip mismatch: %v -> %v", coords, got)
-		}
-	}
-	if _, err := ParseKey(Key("1,x,3")); err == nil {
-		t.Error("bad key should be rejected")
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	if _, err := New(0, testDecay()); err == nil {
 		t.Error("zero cell size should be rejected")

@@ -11,7 +11,9 @@ import (
 // same insert/remove sequence and checks every query against both:
 // NearestWithin and NearestWhere must name the same cell at the same
 // distance, and a NearestWithin probe must measure exactly the seeds
-// whose buckets lie within its window. Slots come from a LIFO free
+// whose buckets lie within its window. Each radius probe is asked
+// twice, in the grid's own scratch and in a caller's (the reader
+// form), and both must give that answer. Slots come from a LIFO free
 // list while IDs only grow, as in the engine, so a tie broken by slot
 // instead of ID shows. Coordinates are multiples of a quarter bucket
 // in [-64, 64), which puts seeds and probes on bucket and tile
@@ -49,6 +51,7 @@ func fuzzBody(t *testing.T, data []byte) {
 	bySlot := map[int32]live{}
 	var order, free []int32
 	nextID := int64(0)
+	scratch := make([]int64, ProbeRows*dim)
 	point := func(b []byte) stream.Point {
 		v := make([]float64, dim)
 		for i := range v {
@@ -106,27 +109,29 @@ func fuzzBody(t *testing.T, data []byte) {
 			if g.Len() != l.Len() {
 				t.Fatalf("Len: grid %d, linear %d", g.Len(), l.Len())
 			}
-			seen := map[int32]bool{}
-			gs, gd, gok := g.NearestWithin(p, r, func(s int32, d float64) { seen[s] = true })
-			ls, ld, lok := l.NearestWithin(p, r, nil)
-			if gok != lok || gok && (bySlot[gs].id != bySlot[ls].id || gd != ld) {
-				t.Fatalf("NearestWithin(%v, %v): grid (%d, %v, %v), linear (%d, %v, %v)",
-					p.Vector, r, bySlot[gs].id, gd, gok, bySlot[ls].id, ld, lok)
-			}
+			ls, ld, lok := l.NearestWithin(p, r, nil, nil)
 			m := int64(math.Ceil(r / side))
-			for s, lv := range bySlot {
-				in := true
-				for i, v := range lv.p.Vector {
-					c, q := int64(math.Floor(v/side)), int64(math.Floor(p.Vector[i]/side))
-					if c-q > m || q-c > m {
-						in = false
+			for _, sc := range [][]int64{nil, scratch} {
+				seen := map[int32]bool{}
+				gs, gd, gok := g.NearestWithin(p, r, func(s int32, d float64) { seen[s] = true }, sc)
+				if gok != lok || gok && (bySlot[gs].id != bySlot[ls].id || gd != ld) {
+					t.Fatalf("NearestWithin(%v, %v, caller scratch %v): grid (%d, %v, %v), linear (%d, %v, %v)",
+						p.Vector, r, sc != nil, bySlot[gs].id, gd, gok, bySlot[ls].id, ld, lok)
+				}
+				for s, lv := range bySlot {
+					in := true
+					for i, v := range lv.p.Vector {
+						c, q := int64(math.Floor(v/side)), int64(math.Floor(p.Vector[i]/side))
+						if c-q > m || q-c > m {
+							in = false
+						}
+					}
+					if in != seen[s] {
+						t.Fatalf("NearestWithin(%v, %v): seed %v measured %v, in window %v", p.Vector, r, lv.p.Vector, seen[s], in)
 					}
 				}
-				if in != seen[s] {
-					t.Fatalf("NearestWithin(%v, %v): seed %v measured %v, in window %v", p.Vector, r, lv.p.Vector, seen[s], in)
-				}
 			}
-			gs, gd, gok = g.NearestWhere(p, pred)
+			gs, gd, gok := g.NearestWhere(p, pred)
 			ls, ld, lok = l.NearestWhere(p, pred)
 			if gok != lok || gok && (bySlot[gs].id != bySlot[ls].id || gd != ld) {
 				t.Fatalf("NearestWhere(%v, mask %08b): grid (%d, %v, %v), linear (%d, %v, %v)",

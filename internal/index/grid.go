@@ -50,6 +50,12 @@ func (s *Seeds) Put(slot int32, vec []float64) bool {
 	return true
 }
 
+// Fix sets the row width before the first Put, as a column restored
+// without rows must still refuse vectors of another width.
+func (s *Seeds) Fix(dim int) {
+	s.dim, s.fixed = dim, true
+}
+
 // Row returns slot's row. It aliases the column and stays valid until
 // the next Put.
 func (s *Seeds) Row(slot int32) []float64 {
@@ -113,13 +119,19 @@ type Grid struct {
 	nbuckets  int
 
 	// Probe scratch, reused across calls so the per-point hot path does
-	// not allocate: one block of dim-sized rows (see setGeometry), the
+	// not allocate: one block of dim-sized rows (see setGeometry), whose
+	// first ProbeRows rows are the ones a radius probe works in, the
 	// tiles a box walk finds, the bucket chain heads it collects and the
 	// tiles an unbounded search has pending.
-	center, lo, hi, tlo, thi, flo, fhi, blo, bhi, cur []int64
+	rows                                              []int64
+	lo, hi, tlo, thi, cur, center, flo, fhi, blo, bhi []int64
 	found, hits                                       []int32
 	pend                                              []pending
 }
+
+// ProbeRows is the number of dim-sized coordinate rows a radius probe
+// works in (see NearestWithin).
+const ProbeRows = 5
 
 // pending is a tile an unbounded search has reached, with the mask of
 // its occupied buckets no shell has visited yet.
@@ -184,11 +196,12 @@ func (g *Grid) setGeometry(dim int) {
 			}
 		}
 	}
-	rows := []*[]int64{&g.center, &g.lo, &g.hi, &g.tlo, &g.thi, &g.flo, &g.fhi, &g.blo, &g.bhi, &g.cur}
-	scratch := make([]int64, len(rows)*dim)
+	rows := []*[]int64{&g.lo, &g.hi, &g.tlo, &g.thi, &g.cur, &g.center, &g.flo, &g.fhi, &g.blo, &g.bhi}
+	g.rows = make([]int64, len(rows)*dim)
 	for i, r := range rows {
-		*r = scratch[i*dim : (i+1)*dim : (i+1)*dim]
+		*r = g.rows[i*dim : (i+1)*dim : (i+1)*dim]
 	}
+	g.rows = g.rows[:ProbeRows*dim]
 }
 
 // bucketed reports whether p's seed lives in a bucket rather than the
@@ -399,51 +412,74 @@ func (g *Grid) Remove(slot int32, p stream.Point) {
 // NearestWithin implements SeedIndex. It scans the occupied buckets
 // within Chebyshev bucket distance m = ceil(r/side) of the query's
 // bucket — the 3^d neighborhood in the standard r == side
-// configuration.
-func (g *Grid) NearestWithin(p stream.Point, r float64, onDist func(slot int32, d float64)) (int32, float64, bool) {
+// configuration — one tile at a time, as the walk over the tile box
+// finds it.
+//
+// scratch holds the probe's coordinates: ProbeRows rows of the grid's
+// dimensionality. nil selects the grid's own rows, which only the
+// goroutine that mutates the grid may use. A probe given its own
+// scratch writes nothing in the grid, so any number of goroutines may
+// probe a grid that is no longer mutated, each with its own scratch.
+func (g *Grid) NearestWithin(p stream.Point, r float64, onDist func(slot int32, d float64), scratch []int64) (int32, float64, bool) {
 	if !g.bucketed(p) {
 		return g.withinLoose(p, r, onDist)
 	}
 	if g.nbuckets == 0 {
 		return 0, 0, false
 	}
-	center := g.coordsOf(p.Vector)
-	m := int64(math.Ceil(r / g.side))
-	for a, c := range center {
-		g.lo[a], g.hi[a] = c-m, c+m
+	if scratch == nil {
+		scratch = g.rows
 	}
-	g.hits = g.hits[:0]
-	if g.span() > int64(g.ntiles) {
+	d := g.dim
+	lo, hi, tlo, thi, cur := scratch[:d], scratch[d:2*d], scratch[2*d:3*d], scratch[3*d:4*d], scratch[4*d:5*d]
+	m := int64(math.Ceil(r / g.side))
+	for a, v := range p.Vector {
+		c := int64(math.Floor(v / g.side))
+		lo[a], hi[a] = c-m, c+m
+	}
+	b := best{r: r}
+	if g.span(lo, hi, tlo, thi) > int64(g.ntiles) {
 		for ti := range g.tiles {
 			if g.tiles[ti].mask != 0 {
-				g.collect(int32(ti), g.boxMask(int32(ti), g.lo, g.hi))
+				g.scanWithin(&b, int32(ti), g.boxMask(int32(ti), lo, hi), p.Vector, onDist)
 			}
 		}
 	} else {
-		g.found = g.found[:0]
-		g.tilesIn(false)
-		for _, ti := range g.found {
-			g.collect(ti, g.boxMask(ti, g.lo, g.hi))
+		copy(cur, tlo)
+		for more := true; more; more = step(cur, tlo, thi) {
+			if ti := g.lookup(cur); ti >= 0 {
+				g.scanWithin(&b, ti, g.boxMask(ti, lo, hi), p.Vector, onDist)
+			}
 		}
 	}
-	var best int32
-	bestDist := math.Inf(1)
-	found := false
-	for _, s := range g.hits {
-		for ; s >= 0; s = g.next[s] {
-			d := distance.Euclid(g.seeds.Row(s), p.Vector)
+	return b.slot, b.dist, b.found
+}
+
+// best is the running answer of a radius probe.
+type best struct {
+	r     float64
+	slot  int32
+	dist  float64
+	found bool
+}
+
+// scanWithin measures the seeds of tile ti's occupied buckets in m
+// against vec, keeping in b the nearest within b.r (ties to the
+// lowest cell ID).
+func (g *Grid) scanWithin(b *best, ti int32, m uint64, vec []float64, onDist func(slot int32, d float64)) {
+	t := &g.tiles[ti]
+	for m &= t.mask; m != 0; m &= m - 1 {
+		below := t.mask & (1<<bits.TrailingZeros64(m) - 1)
+		for s := t.heads[bits.OnesCount64(below)]; s >= 0; s = g.next[s] {
+			d := distance.Euclid(g.seeds.Row(s), vec)
 			if onDist != nil {
 				onDist(s, d)
 			}
-			if d <= r && (d < bestDist || (d == bestDist && found && g.ids[s] < g.ids[best])) {
-				best, bestDist, found = s, d, true
+			if d <= b.r && (!b.found || d < b.dist || (d == b.dist && g.ids[s] < g.ids[b.slot])) {
+				b.slot, b.dist, b.found = s, d, true
 			}
 		}
 	}
-	if !found {
-		return 0, 0, false
-	}
-	return best, bestDist, true
 }
 
 // NearestWhere implements SeedIndex with an expanding-shell search:
@@ -477,7 +513,7 @@ func (g *Grid) NearestWhere(p stream.Point, pred func(slot int32) bool) (int32, 
 			g.lo[a], g.hi[a] = c-k, c+k
 		}
 		g.hits = g.hits[:0]
-		rest := g.span() > int64(g.ntiles)
+		rest := g.span(g.lo, g.hi, g.tlo, g.thi) > int64(g.ntiles)
 		if rest {
 			// Every bucket outside shells 0..k−1 is left: scan them all.
 			for a, c := range center {
@@ -584,14 +620,14 @@ func (g *Grid) whereLoose(p stream.Point, pred func(slot int32) bool) (int32, fl
 // span sets the tile box [tlo, thi] covering the bucket box [lo, hi]
 // and returns how many tiles it spans, saturating just above the
 // occupied tile count.
-func (g *Grid) span() int64 {
+func (g *Grid) span(lo, hi, tlo, thi []int64) int64 {
 	limit := int64(g.ntiles)
 	n := int64(1)
-	for a := range g.lo {
-		g.tlo[a], g.thi[a] = g.lo[a]>>g.shift, g.hi[a]>>g.shift
+	for a := range lo {
+		tlo[a], thi[a] = lo[a]>>g.shift, hi[a]>>g.shift
 		// w ≤ 0 only when bucket coordinates overflowed (seeds beyond
 		// ±9.2e18 buckets): walk the occupied tiles instead.
-		if w := g.thi[a] - g.tlo[a] + 1; w <= 0 || w > limit || n > limit/w {
+		if w := thi[a] - tlo[a] + 1; w <= 0 || w > limit || n > limit/w {
 			n = limit + 1
 		} else {
 			n *= w
@@ -634,22 +670,23 @@ func (g *Grid) lookupBox(lo, hi []int64) {
 		}
 		cur[a] = lo[a]
 	}
-	for {
+	for more := true; more; more = step(cur, lo, hi) {
 		if ti := g.lookup(cur); ti >= 0 {
 			g.found = append(g.found, ti)
 		}
-		a := 0
-		for ; a < len(cur); a++ {
-			cur[a]++
-			if cur[a] <= hi[a] {
-				break
-			}
-			cur[a] = lo[a]
-		}
-		if a == len(cur) {
-			return
-		}
 	}
+}
+
+// step advances cur to the next point of the box [lo, hi] in odometer
+// order and reports whether there was one.
+func step(cur, lo, hi []int64) bool {
+	for a := range cur {
+		if cur[a]++; cur[a] <= hi[a] {
+			return true
+		}
+		cur[a] = lo[a]
+	}
+	return false
 }
 
 // collect appends to hits the chain heads of tile ti's occupied

@@ -3,6 +3,7 @@ package index
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/densitymountain/edmstream/internal/stream"
@@ -39,7 +40,7 @@ func TestEmptyIndexes(t *testing.T) {
 		if idx.Len() != 0 {
 			t.Fatalf("%s: empty index has Len %d", idx.Kind(), idx.Len())
 		}
-		if _, _, ok := idx.NearestWithin(vec(0, 0), 1, nil); ok {
+		if _, _, ok := idx.NearestWithin(vec(0, 0), 1, nil, nil); ok {
 			t.Fatalf("%s: NearestWithin on empty index returned ok", idx.Kind())
 		}
 		if _, _, ok := idx.NearestWhere(vec(0, 0), nil); ok {
@@ -55,14 +56,14 @@ func TestGridInsertRemove(t *testing.T) {
 	if g.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", g.Len())
 	}
-	if id, d, ok := g.NearestWithin(vec(0.4, 0.5), 1, nil); !ok || id != 1 || math.Abs(d-0.1) > 1e-12 {
+	if id, d, ok := g.NearestWithin(vec(0.4, 0.5), 1, nil, nil); !ok || id != 1 || math.Abs(d-0.1) > 1e-12 {
 		t.Fatalf("NearestWithin = (%d, %v, %v), want cell 1 at 0.1", id, d, ok)
 	}
 	g.del(1, vec(0.5, 0.5))
 	if g.Len() != 1 {
 		t.Fatalf("Len after remove = %d, want 1", g.Len())
 	}
-	if _, _, ok := g.NearestWithin(vec(0.4, 0.5), 1, nil); ok {
+	if _, _, ok := g.NearestWithin(vec(0.4, 0.5), 1, nil, nil); ok {
 		t.Fatal("removed seed still found within radius")
 	}
 	if id, _, ok := g.NearestWhere(vec(0.4, 0.5), nil); !ok || id != 2 {
@@ -86,15 +87,15 @@ func TestGridBucketBoundaries(t *testing.T) {
 
 	// A probe at distance exactly r must still find the seed (the
 	// absorb condition of the core algorithm is d ≤ r inclusive).
-	if id, d, ok := g.NearestWithin(vec(2, 0), 1, nil); !ok || id != 2 || d != 1 {
+	if id, d, ok := g.NearestWithin(vec(2, 0), 1, nil, nil); !ok || id != 2 || d != 1 {
 		t.Fatalf("exact-radius probe = (%d, %v, %v), want cell 2 at 1", id, d, ok)
 	}
 	// Equidistant seeds break the tie toward the lowest ID.
-	if id, d, ok := g.NearestWithin(vec(0.5, 0), 1, nil); !ok || id != 1 || d != 0.5 {
+	if id, d, ok := g.NearestWithin(vec(0.5, 0), 1, nil, nil); !ok || id != 1 || d != 0.5 {
 		t.Fatalf("tie probe = (%d, %v, %v), want cell 1 at 0.5", id, d, ok)
 	}
 	// A probe sitting exactly on a boundary sees both sides.
-	if id, _, ok := g.NearestWithin(vec(-1.8, 0), 1, nil); !ok || id != 4 {
+	if id, _, ok := g.NearestWithin(vec(-1.8, 0), 1, nil, nil); !ok || id != 4 {
 		t.Fatalf("negative-coord probe = (%d, %v), want cell 4", id, ok)
 	}
 }
@@ -155,8 +156,8 @@ func TestGridVectorlessEntries(t *testing.T) {
 	// ...but token-set probes reach them, with the same answers the
 	// linear scan gives (Jaccard distance, lowest-ID tie-break).
 	probe := tokens("a", "b", "d")
-	gid, gd, gok := g.NearestWithin(probe, 0.9, nil)
-	lid, ld, lok := l.NearestWithin(probe, 0.9, nil)
+	gid, gd, gok := g.NearestWithin(probe, 0.9, nil, nil)
+	lid, ld, lok := l.NearestWithin(probe, 0.9, nil, nil)
 	if !gok || gid != 1 || gok != lok || gid != lid || gd != ld {
 		t.Fatalf("token probe: grid (%d, %v, %v) vs linear (%d, %v, %v)", gid, gd, gok, lid, ld, lok)
 	}
@@ -169,7 +170,7 @@ func TestGridVectorlessEntries(t *testing.T) {
 	if g.Len() != 2 {
 		t.Fatalf("Len after vectorless remove = %d, want 2", g.Len())
 	}
-	if _, _, ok := g.NearestWithin(tokens("a", "b"), 0.1, nil); ok {
+	if _, _, ok := g.NearestWithin(tokens("a", "b"), 0.1, nil, nil); ok {
 		t.Fatal("removed token-set seed still found")
 	}
 }
@@ -180,7 +181,7 @@ func TestGridOnDistCallback(t *testing.T) {
 	g.add(2, vec(0.5, 0))
 	g.add(3, vec(20, 20)) // far outside the probe window
 	seen := map[int64]float64{}
-	if _, _, ok := g.NearestWithin(vec(0.25, 0), 1, func(id int32, d float64) { seen[int64(id)] = d }); !ok {
+	if _, _, ok := g.NearestWithin(vec(0.25, 0), 1, func(id int32, d float64) { seen[int64(id)] = d }, nil); !ok {
 		t.Fatal("probe failed")
 	}
 	if _, ok := seen[1]; !ok {
@@ -232,8 +233,8 @@ func TestGridMatchesLinear(t *testing.T) {
 				v[j] = rng.Float64()*24 - 12
 			}
 			p := stream.Point{Vector: v}
-			gid, gd, gok := g.NearestWithin(p, side, nil)
-			lid, ld, lok := l.NearestWithin(p, side, nil)
+			gid, gd, gok := g.NearestWithin(p, side, nil, nil)
+			lid, ld, lok := l.NearestWithin(p, side, nil, nil)
 			if gok != lok || (gok && (gid != lid || gd != ld)) {
 				t.Fatalf("dim %d query %d: NearestWithin grid (%d,%v,%v) != linear (%d,%v,%v)",
 					dim, q, gid, gd, gok, lid, ld, lok)
@@ -245,6 +246,54 @@ func TestGridMatchesLinear(t *testing.T) {
 					dim, q, gid, gd, gok, lid, ld, lok)
 			}
 		}
+	}
+}
+
+// TestGridConcurrentReaders builds a grid once and probes it from
+// several goroutines at once, each with its own scratch, as the query
+// path does with a publication's index: every answer must equal the
+// linear scan's, and under -race no probe may write what another
+// reads. Radii above the bucket side and a sparse 7-d grid take the
+// wider-window and walk-every-tile paths too.
+func TestGridConcurrentReaders(t *testing.T) {
+	for _, dim := range []int{2, 3, 7} {
+		rng := rand.New(rand.NewSource(int64(60 + dim)))
+		g, l := testGrid(0.5), testLinear()
+		for i := 0; i < 300; i++ {
+			v := make([]float64, dim)
+			for j := range v {
+				v[j] = rng.Float64() * 6
+			}
+			g.add(int64(i), stream.Point{Vector: v})
+			l.add(int64(i), stream.Point{Vector: v})
+		}
+		probes := make([]stream.Point, 200)
+		for i := range probes {
+			v := make([]float64, dim)
+			for j := range v {
+				v[j] = rng.Float64()*7 - 0.5
+			}
+			probes[i] = stream.Point{Vector: v}
+		}
+		var wg sync.WaitGroup
+		for r := 0; r < 4; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				scratch := make([]int64, ProbeRows*dim)
+				for i := range probes {
+					p, radius := probes[(i+r*53)%len(probes)], 0.5*float64(1+i%3)
+					gs, gd, gok := g.NearestWithin(p, radius, nil, scratch)
+					ls, ld, lok := l.NearestWithin(p, radius, nil, nil)
+					if gok != lok || gok && (gs != ls || gd != ld) {
+						t.Errorf("dim %d reader %d probe %v r %v: grid (%d,%v,%v), linear (%d,%v,%v)",
+							dim, r, p.Vector, radius, gs, gd, gok, ls, ld, lok)
+						return
+					}
+				}
+			}(r)
+		}
+		wg.Wait()
 	}
 }
 
@@ -304,8 +353,8 @@ func TestGridExtremeCoordinates(t *testing.T) {
 	}
 	for _, p := range append(pts, vec(1e300, 0), vec(-4e18, 4e18+3)) {
 		for _, r := range []float64{0.5, 1.5} {
-			gs, gd, gok := g.NearestWithin(p, r, nil)
-			ls, ld, lok := l.NearestWithin(p, r, nil)
+			gs, gd, gok := g.NearestWithin(p, r, nil, nil)
+			ls, ld, lok := l.NearestWithin(p, r, nil, nil)
 			if gok != lok || gok && (gs != ls || gd != ld) {
 				t.Fatalf("NearestWithin(%v, %g): grid (%d, %v, %v), linear (%d, %v, %v)", p.Vector, r, gs, gd, gok, ls, ld, lok)
 			}

@@ -12,6 +12,12 @@
 // which candidates they have to touch — so the clustering output is
 // identical whichever index is selected (internal/core's equivalence
 // tests assert this property).
+//
+// The same two types serve the read-only query path: internal/core
+// builds a Grid (or a Linear) over each published snapshot's seeds
+// and never mutates it afterwards, and readers probe it concurrently,
+// each passing its own coordinate scratch to NearestWithin. Grid is
+// the only structure here that buckets seeds.
 package index
 
 import "github.com/densitymountain/edmstream/internal/stream"
@@ -37,8 +43,10 @@ type SeedIndex interface {
 	// is that close. onDist, when non-nil, is invoked with every
 	// (slot, distance) pair the index measures during the probe; the
 	// core algorithm uses it to stamp distances onto cells for the
-	// triangle-inequality filter (Theorem 2).
-	NearestWithin(p stream.Point, r float64, onDist func(slot int32, d float64)) (slot int32, d float64, ok bool)
+	// triangle-inequality filter (Theorem 2). scratch is the probe's
+	// coordinate workspace (see Grid.NearestWithin); nil selects the
+	// index's own, which only its owner goroutine may use.
+	NearestWithin(p stream.Point, r float64, onDist func(slot int32, d float64), scratch []int64) (slot int32, d float64, ok bool)
 	// NearestWhere returns the slot of the indexed seed nearest to p
 	// among those whose slot satisfies pred (a nil pred accepts every
 	// seed), or ok == false when no admissible seed exists. It is

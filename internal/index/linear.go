@@ -56,8 +56,10 @@ func (l *Linear) Remove(slot int32, _ stream.Point) {
 	l.pos[slot] = 0
 }
 
-// NearestWithin implements SeedIndex by scanning every entry.
-func (l *Linear) NearestWithin(p stream.Point, r float64, onDist func(slot int32, d float64)) (int32, float64, bool) {
+// NearestWithin implements SeedIndex by scanning every entry. It needs
+// no scratch and writes nothing, so concurrent probes of an index no
+// longer mutated are safe.
+func (l *Linear) NearestWithin(p stream.Point, r float64, onDist func(slot int32, d float64), _ []int64) (int32, float64, bool) {
 	var best *linearEntry
 	bestDist := math.Inf(1)
 	for i := range l.entries {
