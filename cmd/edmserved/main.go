@@ -45,49 +45,6 @@ import (
 	"github.com/densitymountain/edmstream/internal/server"
 )
 
-// cliConfig carries every flag value; kept as a struct so the
-// flag-to-options mapping is testable without running main.
-type cliConfig struct {
-	addr            string
-	radius          float64
-	rate            float64
-	beta            float64
-	tau             float64
-	adaptiveTau     bool
-	initPoints      int
-	maxEvents       int
-	maxBatch        int
-	maxPending      int
-	longPollTimeout time.Duration
-	maxBodyBytes    int64
-	shutdownGrace   time.Duration
-	dataDir         string
-	walSegmentBytes int64
-	walNoSync       bool
-	checkpointEvery int
-
-	readTimeout      time.Duration
-	writeTimeout     time.Duration
-	idleTimeout      time.Duration
-	ingestDeadline   time.Duration
-	readConcurrency  int
-	probeInterval    time.Duration
-	walRetryAttempts int
-
-	archiveURL         string
-	archiveQueue       int
-	archiveRetryBase   time.Duration
-	archiveRetryMax    time.Duration
-	recoveryBudget     time.Duration
-	checkpointCompress bool
-	restoreFromArchive bool
-
-	maxStreams     int
-	memoryBudget   sizeFlag
-	evictIdleAfter time.Duration
-	sweepInterval  time.Duration
-}
-
 // sizeFlag is a byte count flag accepting plain integers or binary
 // suffixes: 1048576, 64KiB, 512MiB, 2GiB (also the K/M/G shorthands).
 type sizeFlag int64
@@ -133,134 +90,89 @@ func parseSize(v string) (int64, error) {
 	return n * mult, nil
 }
 
-func registerFlags(fs *flag.FlagSet, c *cliConfig) {
-	fs.StringVar(&c.addr, "addr", "127.0.0.1:8080", "TCP listen address")
-	fs.Float64Var(&c.radius, "radius", 0, "cluster-cell radius r (required; see edmstream.SuggestRadius)")
-	fs.Float64Var(&c.rate, "rate", 1000, "expected arrival rate in points per second")
-	fs.Float64Var(&c.beta, "beta", 0, "active-cell density threshold fraction (0 = library default)")
-	fs.Float64Var(&c.tau, "tau", 0, "static cluster-separation threshold (0 = choose from the decision graph)")
-	fs.BoolVar(&c.adaptiveTau, "adaptive-tau", false, "re-tune tau as the stream evolves")
-	fs.IntVar(&c.initPoints, "init-points", 0, "points buffered before the DP-Tree initializes (0 = library default)")
-	fs.IntVar(&c.maxEvents, "max-events", 0, "evolution log cap (0 = unlimited; cursors stay stable across trimming)")
-	fs.IntVar(&c.maxBatch, "max-batch", 0, "max points per coalesced batch (0 = default 4096)")
-	fs.IntVar(&c.maxPending, "max-pending", 0, "max queued ingest requests before backpressure (0 = default 1024)")
-	fs.DurationVar(&c.longPollTimeout, "longpoll-timeout", 30*time.Second, "max /v1/events long-poll hold time")
-	fs.Int64Var(&c.maxBodyBytes, "max-body", 0, "max request body bytes (0 = default 8 MiB)")
-	fs.DurationVar(&c.shutdownGrace, "shutdown-grace", 15*time.Second, "max wait for in-flight requests at shutdown")
-	fs.StringVar(&c.dataDir, "data-dir", "", "durability directory: WAL + checkpoints; empty serves in memory only")
-	fs.Int64Var(&c.walSegmentBytes, "wal-segment-bytes", 0, "WAL segment rotation threshold (0 = default 64 MiB)")
-	fs.BoolVar(&c.walNoSync, "wal-nosync", false, "skip the fsync-before-ack (throughput mode; acknowledged data may be lost in a crash)")
-	fs.IntVar(&c.checkpointEvery, "checkpoint-every", 0, "points committed between engine checkpoints into the WAL (0 = default 50000)")
-	fs.DurationVar(&c.readTimeout, "read-timeout", 0, "max time to read one request (0 = default 30s)")
-	fs.DurationVar(&c.writeTimeout, "write-timeout", 0, "max time to write one response; must exceed -longpoll-timeout (0 = longpoll-timeout + 30s)")
-	fs.DurationVar(&c.idleTimeout, "idle-timeout", 0, "max keep-alive idle time per connection (0 = default 2m)")
-	fs.DurationVar(&c.ingestDeadline, "ingest-deadline", 0, "max queue-admission wait before an ingest request is shed with 429 (0 = default 5s)")
-	fs.IntVar(&c.readConcurrency, "read-concurrency", 0, "max concurrent data-plane reads before 429 shedding (0 = default 256)")
-	fs.DurationVar(&c.probeInterval, "degraded-probe-interval", 0, "how often a degraded server probes the WAL for recovery (0 = default 1s)")
-	fs.IntVar(&c.walRetryAttempts, "wal-retry-attempts", 0, "durable-append attempts before the server degrades to read-only (0 = default 3)")
-	fs.StringVar(&c.archiveURL, "archive-url", "", "remote archive for sealed WAL segments and checkpoints: file://path or a plain directory path; empty disables shipping")
-	fs.IntVar(&c.archiveQueue, "archive-queue", 0, "upload-notification queue length before the shipper falls back to a resync (0 = default 64)")
-	fs.DurationVar(&c.archiveRetryBase, "archive-retry-base", 0, "initial retry backoff after a failed upload (0 = default 100ms)")
-	fs.DurationVar(&c.archiveRetryMax, "archive-retry-max", 0, "retry backoff ceiling during a remote outage (0 = default 5s)")
-	fs.DurationVar(&c.recoveryBudget, "recovery-budget", 0, "target crash-recovery replay time; checkpoints fire early to keep the estimated replay under it (0 = count-based checkpoints only)")
-	fs.BoolVar(&c.checkpointCompress, "checkpoint-compress", false, "gzip checkpoint payloads on disk (CRC still covers the uncompressed snapshot)")
-	fs.BoolVar(&c.restoreFromArchive, "restore-from-archive", false, "rebuild an empty -data-dir from the remote archive before serving; refused if local WAL state exists")
-	fs.IntVar(&c.maxStreams, "max-streams", 0, "max named streams, live + evicted (0 = default 1024)")
-	fs.Var(&c.memoryBudget, "memory-budget", "global resident-memory target for all live streams, e.g. 512MiB; least-recently-used idle streams are checkpointed to disk and evicted past it (0 = unlimited; requires -data-dir)")
-	fs.DurationVar(&c.evictIdleAfter, "evict-idle-after", 0, "checkpoint + evict streams untouched this long (0 = never; requires -data-dir)")
-	fs.DurationVar(&c.sweepInterval, "sweep-interval", 0, "eviction sweep cadence (0 = default 1s)")
-}
-
-// buildOptions maps the flags to library options. Validation happens
-// in edmstream.New / server.New so their error messages stay the
-// single source of truth.
-func buildOptions(c cliConfig) edmstream.Options {
-	return edmstream.Options{
-		Radius:      c.radius,
-		Rate:        c.rate,
-		Beta:        c.beta,
-		Tau:         c.tau,
-		AdaptiveTau: c.adaptiveTau,
-		InitPoints:  c.initPoints,
-		MaxEvents:   c.maxEvents,
-	}
-}
-
-func buildServerConfig(c cliConfig) server.Config {
-	return server.Config{
-		Addr:            c.addr,
-		MaxBatch:        c.maxBatch,
-		MaxPending:      c.maxPending,
-		LongPollTimeout: c.longPollTimeout,
-		MaxBodyBytes:    c.maxBodyBytes,
-		DataDir:         c.dataDir,
-		WALSegmentBytes: c.walSegmentBytes,
-		WALNoSync:       c.walNoSync,
-		CheckpointEvery: c.checkpointEvery,
-
-		ReadTimeout:           c.readTimeout,
-		WriteTimeout:          c.writeTimeout,
-		IdleTimeout:           c.idleTimeout,
-		IngestDeadline:        c.ingestDeadline,
-		MaxReadConcurrency:    c.readConcurrency,
-		DegradedProbeInterval: c.probeInterval,
-		WALRetryAttempts:      c.walRetryAttempts,
-
-		ArchiveURL:         c.archiveURL,
-		ArchiveQueue:       c.archiveQueue,
-		ArchiveRetryBase:   c.archiveRetryBase,
-		ArchiveRetryMax:    c.archiveRetryMax,
-		RecoveryBudget:     c.recoveryBudget,
-		CheckpointCompress: c.checkpointCompress,
-		RestoreFromArchive: c.restoreFromArchive,
-
-		MaxStreams:     c.maxStreams,
-		MemoryBudget:   int64(c.memoryBudget),
-		EvictIdleAfter: c.evictIdleAfter,
-		SweepInterval:  c.sweepInterval,
-		// Named streams clone the engine options the default stream was
-		// built with: one daemon, one clustering geometry, many tenants.
-		NewEngine: func() (*edmstream.Clusterer, error) {
-			return edmstream.New(buildOptions(c))
-		},
-	}
+// registerFlags binds every flag straight to the engine option or
+// server config field it sets, and -shutdown-grace to grace. It also
+// wires cfg's engine factory to opts: named streams clone the engine
+// options the default stream is built with (one daemon, one
+// clustering geometry, many tenants). Validation happens in
+// edmstream.New / server.New so their error messages stay the single
+// source of truth.
+func registerFlags(fs *flag.FlagSet, opts *edmstream.Options, cfg *server.Config, grace *time.Duration) {
+	fs.StringVar(&cfg.Addr, "addr", "127.0.0.1:8080", "TCP listen address")
+	fs.Float64Var(&opts.Radius, "radius", 0, "cluster-cell radius r (required; see edmstream.SuggestRadius)")
+	fs.Float64Var(&opts.Rate, "rate", 1000, "expected arrival rate in points per second")
+	fs.Float64Var(&opts.Beta, "beta", 0, "active-cell density threshold fraction (0 = library default)")
+	fs.Float64Var(&opts.Tau, "tau", 0, "static cluster-separation threshold (0 = choose from the decision graph)")
+	fs.BoolVar(&opts.AdaptiveTau, "adaptive-tau", false, "re-tune tau as the stream evolves")
+	fs.IntVar(&opts.InitPoints, "init-points", 0, "points buffered before the DP-Tree initializes (0 = library default)")
+	fs.IntVar(&opts.MaxEvents, "max-events", 0, "evolution log cap (0 = unlimited; cursors stay stable across trimming)")
+	fs.IntVar(&cfg.MaxBatch, "max-batch", 0, "max points per coalesced batch (0 = default 4096)")
+	fs.IntVar(&cfg.MaxPending, "max-pending", 0, "max queued ingest requests before backpressure (0 = default 1024)")
+	fs.DurationVar(&cfg.LongPollTimeout, "longpoll-timeout", 30*time.Second, "max /v1/events long-poll hold time")
+	fs.Int64Var(&cfg.MaxBodyBytes, "max-body", 0, "max request body bytes (0 = default 8 MiB)")
+	fs.DurationVar(grace, "shutdown-grace", 15*time.Second, "max wait for in-flight requests at shutdown")
+	fs.StringVar(&cfg.DataDir, "data-dir", "", "durability directory: WAL + checkpoints; empty serves in memory only")
+	fs.Int64Var(&cfg.WALSegmentBytes, "wal-segment-bytes", 0, "WAL segment rotation threshold (0 = default 64 MiB)")
+	fs.BoolVar(&cfg.WALNoSync, "wal-nosync", false, "skip the fsync-before-ack (throughput mode; acknowledged data may be lost in a crash)")
+	fs.IntVar(&cfg.CheckpointEvery, "checkpoint-every", 0, "points committed between engine checkpoints into the WAL (0 = default 50000)")
+	fs.DurationVar(&cfg.ReadTimeout, "read-timeout", 0, "max time to read one request (0 = default 30s)")
+	fs.DurationVar(&cfg.WriteTimeout, "write-timeout", 0, "max time to write one response; must exceed -longpoll-timeout (0 = longpoll-timeout + 30s)")
+	fs.DurationVar(&cfg.IdleTimeout, "idle-timeout", 0, "max keep-alive idle time per connection (0 = default 2m)")
+	fs.DurationVar(&cfg.IngestDeadline, "ingest-deadline", 0, "max queue-admission wait before an ingest request is shed with 429 (0 = default 5s)")
+	fs.IntVar(&cfg.MaxReadConcurrency, "read-concurrency", 0, "max concurrent data-plane reads before 429 shedding (0 = default 256)")
+	fs.DurationVar(&cfg.DegradedProbeInterval, "degraded-probe-interval", 0, "how often a degraded server probes the WAL for recovery (0 = default 1s)")
+	fs.IntVar(&cfg.WALRetryAttempts, "wal-retry-attempts", 0, "durable-append attempts before the server degrades to read-only (0 = default 3)")
+	fs.StringVar(&cfg.ArchiveURL, "archive-url", "", "remote archive for sealed WAL segments and checkpoints: file://path or a plain directory path; empty disables shipping")
+	fs.IntVar(&cfg.ArchiveQueue, "archive-queue", 0, "upload-notification queue length before the shipper falls back to a resync (0 = default 64)")
+	fs.DurationVar(&cfg.ArchiveRetryBase, "archive-retry-base", 0, "initial retry backoff after a failed upload (0 = default 100ms)")
+	fs.DurationVar(&cfg.ArchiveRetryMax, "archive-retry-max", 0, "retry backoff ceiling during a remote outage (0 = default 5s)")
+	fs.DurationVar(&cfg.RecoveryBudget, "recovery-budget", 0, "target crash-recovery replay time; checkpoints fire early to keep the estimated replay under it (0 = count-based checkpoints only)")
+	fs.BoolVar(&cfg.CheckpointCompress, "checkpoint-compress", false, "gzip checkpoint payloads on disk (CRC still covers the uncompressed snapshot)")
+	fs.BoolVar(&cfg.RestoreFromArchive, "restore-from-archive", false, "rebuild an empty -data-dir from the remote archive before serving; refused if local WAL state exists")
+	fs.IntVar(&cfg.MaxStreams, "max-streams", 0, "max named streams, live + evicted (0 = default 1024)")
+	fs.Var((*sizeFlag)(&cfg.MemoryBudget), "memory-budget", "global resident-memory target for all live streams, e.g. 512MiB; least-recently-used idle streams are checkpointed to disk and evicted past it (0 = unlimited; requires -data-dir)")
+	fs.DurationVar(&cfg.EvictIdleAfter, "evict-idle-after", 0, "checkpoint + evict streams untouched this long (0 = never; requires -data-dir)")
+	fs.DurationVar(&cfg.SweepInterval, "sweep-interval", 0, "eviction sweep cadence (0 = default 1s)")
+	cfg.NewEngine = func() (*edmstream.Clusterer, error) { return edmstream.New(*opts) }
 }
 
 func main() {
-	var cfg cliConfig
-	registerFlags(flag.CommandLine, &cfg)
+	var opts edmstream.Options
+	var cfg server.Config
+	var grace time.Duration
+	registerFlags(flag.CommandLine, &opts, &cfg, &grace)
 	flag.Parse()
 
-	if cfg.radius <= 0 {
+	if opts.Radius <= 0 {
 		fmt.Fprintln(os.Stderr, "edmserved: -radius is required and must be positive")
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	c, err := edmstream.New(buildOptions(cfg))
+	c, err := edmstream.New(opts)
 	if err != nil {
 		log.Fatalf("edmserved: %v", err)
 	}
-	s, err := server.New(c, buildServerConfig(cfg))
+	s, err := server.New(c, cfg)
 	if err != nil {
 		log.Fatalf("edmserved: %v", err)
 	}
-	if cfg.dataDir != "" {
-		log.Printf("edmserved: %s (data dir %s)", s.RecoveryInfo(), cfg.dataDir)
+	if cfg.DataDir != "" {
+		log.Printf("edmserved: %s (data dir %s)", s.RecoveryInfo(), cfg.DataDir)
 	}
 	if err := s.Start(); err != nil {
 		log.Fatalf("edmserved: %v", err)
 	}
 	log.Printf("edmserved: serving on %s (radius %g, rate %g pt/s)",
-		s.Addr(), cfg.radius, cfg.rate)
+		s.Addr(), opts.Radius, opts.Rate)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	<-ctx.Done()
 	stop() // a second signal kills immediately
 
-	log.Printf("edmserved: shutting down (grace %v)", cfg.shutdownGrace)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), cfg.shutdownGrace)
+	log.Printf("edmserved: shutting down (grace %v)", grace)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), grace)
 	defer cancel()
 	if err := s.Shutdown(shutdownCtx); err != nil {
 		log.Printf("edmserved: shutdown: %v", err)

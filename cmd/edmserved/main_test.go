@@ -4,16 +4,31 @@ import (
 	"flag"
 	"testing"
 	"time"
+
+	"github.com/densitymountain/edmstream"
+	"github.com/densitymountain/edmstream/internal/server"
 )
+
+// parseFlags registers the daemon's flags on a fresh set and parses
+// args into the engine options, server config and shutdown grace.
+func parseFlags(t *testing.T, args ...string) (edmstream.Options, server.Config, time.Duration) {
+	t.Helper()
+	fs := flag.NewFlagSet("edmserved", flag.ContinueOnError)
+	var opts edmstream.Options
+	var cfg server.Config
+	var grace time.Duration
+	registerFlags(fs, &opts, &cfg, &grace)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return opts, cfg, grace
+}
 
 // TestFlagMapping pins the flag → Options / server.Config mapping:
 // every knob lands in the right field and the resulting configs pass
 // their own validation.
 func TestFlagMapping(t *testing.T) {
-	fs := flag.NewFlagSet("edmserved", flag.ContinueOnError)
-	var cfg cliConfig
-	registerFlags(fs, &cfg)
-	err := fs.Parse([]string{
+	opts, sc, grace := parseFlags(t,
 		"-addr", "127.0.0.1:9901",
 		"-radius", "0.75",
 		"-rate", "2000",
@@ -26,12 +41,8 @@ func TestFlagMapping(t *testing.T) {
 		"-longpoll-timeout", "12s",
 		"-max-body", "1048576",
 		"-shutdown-grace", "3s",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	)
 
-	opts := buildOptions(cfg)
 	if opts.Radius != 0.75 || opts.Rate != 2000 || opts.Tau != 1.5 ||
 		!opts.AdaptiveTau || opts.InitPoints != 250 ||
 		opts.MaxEvents != 10000 {
@@ -41,7 +52,6 @@ func TestFlagMapping(t *testing.T) {
 		t.Errorf("mapped options invalid: %v", err)
 	}
 
-	sc := buildServerConfig(cfg)
 	if sc.Addr != "127.0.0.1:9901" ||
 		sc.MaxBatch != 2048 || sc.MaxPending != 64 ||
 		sc.LongPollTimeout != 12*time.Second || sc.MaxBodyBytes != 1<<20 {
@@ -50,8 +60,8 @@ func TestFlagMapping(t *testing.T) {
 	if err := sc.Validate(); err != nil {
 		t.Errorf("mapped server config invalid: %v", err)
 	}
-	if cfg.shutdownGrace != 3*time.Second {
-		t.Errorf("shutdown grace = %v, want 3s", cfg.shutdownGrace)
+	if grace != 3*time.Second {
+		t.Errorf("shutdown grace = %v, want 3s", grace)
 	}
 }
 
@@ -59,10 +69,7 @@ func TestFlagMapping(t *testing.T) {
 // each flag lands in its server.Config field and the combination
 // validates (archive flags require -data-dir).
 func TestArchiveFlagMapping(t *testing.T) {
-	fs := flag.NewFlagSet("edmserved", flag.ContinueOnError)
-	var cfg cliConfig
-	registerFlags(fs, &cfg)
-	err := fs.Parse([]string{
+	_, sc, _ := parseFlags(t,
 		"-data-dir", t.TempDir(),
 		"-archive-url", "file:///tmp/edm-archive",
 		"-archive-queue", "16",
@@ -71,12 +78,8 @@ func TestArchiveFlagMapping(t *testing.T) {
 		"-recovery-budget", "30s",
 		"-checkpoint-compress",
 		"-restore-from-archive",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	)
 
-	sc := buildServerConfig(cfg)
 	if sc.ArchiveURL != "file:///tmp/edm-archive" || sc.ArchiveQueue != 16 ||
 		sc.ArchiveRetryBase != 50*time.Millisecond || sc.ArchiveRetryMax != 2*time.Second ||
 		sc.RecoveryBudget != 30*time.Second || !sc.CheckpointCompress || !sc.RestoreFromArchive {
@@ -88,13 +91,8 @@ func TestArchiveFlagMapping(t *testing.T) {
 
 	// The knobs are rejected without the archive itself: the flag
 	// surface and server-side validation must agree.
-	fs2 := flag.NewFlagSet("edmserved", flag.ContinueOnError)
-	var cfg2 cliConfig
-	registerFlags(fs2, &cfg2)
-	if err := fs2.Parse([]string{"-data-dir", t.TempDir(), "-archive-queue", "16"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := buildServerConfig(cfg2).Validate(); err == nil {
+	_, sc2, _ := parseFlags(t, "-data-dir", t.TempDir(), "-archive-queue", "16")
+	if err := sc2.Validate(); err == nil {
 		t.Error("archive-queue without -archive-url validated; want error")
 	}
 }
@@ -103,29 +101,31 @@ func TestArchiveFlagMapping(t *testing.T) {
 // defaults (and an invalid radius, which main rejects explicitly).
 func TestFlagDefaults(t *testing.T) {
 	fs := flag.NewFlagSet("edmserved", flag.ContinueOnError)
-	var cfg cliConfig
-	registerFlags(fs, &cfg)
+	var opts edmstream.Options
+	var cfg server.Config
+	var grace time.Duration
+	registerFlags(fs, &opts, &cfg, &grace)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.addr != "127.0.0.1:8080" || cfg.rate != 1000 ||
-		cfg.longPollTimeout != 30*time.Second ||
-		cfg.shutdownGrace != 15*time.Second {
-		t.Errorf("defaults wrong: %+v", cfg)
+	if cfg.Addr != "127.0.0.1:8080" || opts.Rate != 1000 ||
+		cfg.LongPollTimeout != 30*time.Second ||
+		grace != 15*time.Second {
+		t.Errorf("defaults wrong: %+v %+v %v", opts, cfg, grace)
 	}
-	if cfg.radius != 0 {
-		t.Errorf("radius default = %g, want 0 (required flag)", cfg.radius)
+	if opts.Radius != 0 {
+		t.Errorf("radius default = %g, want 0 (required flag)", opts.Radius)
 	}
 	// The coalescer has no timed window, so there is no flag for one.
 	if fs.Lookup("coalesce-window") != nil {
 		t.Error("-coalesce-window is still registered")
 	}
-	if cfg.archiveURL != "" || cfg.archiveQueue != 0 || cfg.archiveRetryBase != 0 ||
-		cfg.archiveRetryMax != 0 || cfg.recoveryBudget != 0 ||
-		cfg.checkpointCompress || cfg.restoreFromArchive {
+	if cfg.ArchiveURL != "" || cfg.ArchiveQueue != 0 || cfg.ArchiveRetryBase != 0 ||
+		cfg.ArchiveRetryMax != 0 || cfg.RecoveryBudget != 0 ||
+		cfg.CheckpointCompress || cfg.RestoreFromArchive {
 		t.Errorf("archive defaults wrong (want all zero/off): %+v", cfg)
 	}
-	if err := buildServerConfig(cfg).Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		t.Errorf("default server config invalid: %v", err)
 	}
 }
@@ -134,22 +134,15 @@ func TestFlagDefaults(t *testing.T) {
 // in its server.Config field, the engine factory is wired, and the
 // combination validates (budget/idle eviction require -data-dir).
 func TestTenancyFlagMapping(t *testing.T) {
-	fs := flag.NewFlagSet("edmserved", flag.ContinueOnError)
-	var cfg cliConfig
-	registerFlags(fs, &cfg)
-	err := fs.Parse([]string{
+	_, sc, _ := parseFlags(t,
 		"-radius", "0.5",
 		"-data-dir", t.TempDir(),
 		"-max-streams", "64",
 		"-memory-budget", "512MiB",
 		"-evict-idle-after", "10m",
 		"-sweep-interval", "250ms",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	)
 
-	sc := buildServerConfig(cfg)
 	if sc.MaxStreams != 64 ||
 		sc.MemoryBudget != 512<<20 ||
 		sc.EvictIdleAfter != 10*time.Minute ||
@@ -173,26 +166,14 @@ func TestTenancyFlagMapping(t *testing.T) {
 		{"-memory-budget", "512MiB"},
 		{"-evict-idle-after", "10m"},
 	} {
-		fs2 := flag.NewFlagSet("edmserved", flag.ContinueOnError)
-		var cfg2 cliConfig
-		registerFlags(fs2, &cfg2)
-		if err := fs2.Parse(args); err != nil {
-			t.Fatal(err)
-		}
-		if err := buildServerConfig(cfg2).Validate(); err == nil {
+		if _, sc2, _ := parseFlags(t, args...); sc2.Validate() == nil {
 			t.Errorf("%v without -data-dir validated; want error", args)
 		}
 	}
 
 	// A budget below one engine's floor is rejected at parse-adjacent
 	// validation, not discovered as eviction churn in production.
-	fs3 := flag.NewFlagSet("edmserved", flag.ContinueOnError)
-	var cfg3 cliConfig
-	registerFlags(fs3, &cfg3)
-	if err := fs3.Parse([]string{"-data-dir", t.TempDir(), "-memory-budget", "1024"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := buildServerConfig(cfg3).Validate(); err == nil {
+	if _, sc3, _ := parseFlags(t, "-data-dir", t.TempDir(), "-memory-budget", "1024"); sc3.Validate() == nil {
 		t.Error("sub-floor -memory-budget validated; want error")
 	}
 }

@@ -28,9 +28,12 @@ type NamedClusterer struct {
 }
 
 // NewEDMStream builds an EDMStream instance configured the way the
-// evaluation uses it: radius from the dataset, adaptive τ off (a static
-// τ derived from the radius) unless adaptive is requested, and the
-// paper's decay/β/rate settings.
+// evaluation uses it: radius from the dataset, 500 initialization
+// points, and adaptive τ off unless adaptive is requested. Everything
+// else is core's default: τ is chosen once, at initialization, by
+// core.DefaultTauSelector from the decision graph; the decay is
+// a = 0.998 per point (λ = rate per second); and β is core's 0.005,
+// not the paper's 0.0021.
 func NewEDMStream(radius, rate float64, adaptive bool) (*core.EDMStream, error) {
 	cfg := core.Config{
 		Radius:      radius,

@@ -58,7 +58,7 @@ func checkpointRun(t *testing.T, cfg Config, pts []stream.Point, batchSize, snap
 		}
 		if cut(end) {
 			e = roundTrip(t, e)
-			if err := checkNearestDependencies(e, numericOnly(e)); err != nil {
+			if err := checkNearestDependencies(e); err != nil {
 				t.Fatalf("restored after point %d: %v", end, err)
 			}
 		} else if err := checkOracleAt(e, i, end); err != nil {

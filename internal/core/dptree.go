@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"math"
 	"slices"
 
@@ -42,8 +41,6 @@ type dpTree struct {
 	// order, so searches reach the buckets at, above or below a key
 	// without walking the whole map, and walk them in a fixed order.
 	densKeys []int64
-	// relinks is retargetLower's reusable scratch.
-	relinks []relink
 
 	// higherPred is the reusable NearestWhere predicate of the indexed
 	// dependency search ("active, not the target, outranks the
@@ -168,7 +165,8 @@ func (t *dpTree) setDelta(c *Cell, delta float64) {
 func (t *dpTree) size() int { return len(t.list) }
 
 // insert adds a cell to the tree without wiring dependencies; callers
-// are responsible for calling computeDependency and retargetLower.
+// are responsible for calling computeDependency and for relinking the
+// cells the newcomer outranks (EDMStream.relinkToward).
 func (t *dpTree) insert(c *Cell) {
 	c.active = true
 	c.treeIdx = int32(len(t.list))
@@ -264,40 +262,34 @@ func (t *dpTree) outranksBy(d float64, a, b *Cell, now float64) bool {
 	return higherRanked(a, b, now, t.decay)
 }
 
-// dependencyScanCap is the higher-ranked set size up to which
-// computeDependency prefers enumerating the density buckets above the
-// cell over expanding grid shells around it: few higher-ranked cells
-// means the nearest one may be anywhere spatially (bad for shells) but
-// is cheap to find by trying them all.
+// dependencyScanCap is the higher-ranked set size up to which a gridded
+// stream's computeDependency prefers enumerating the density buckets
+// above the cell over expanding grid shells around it: few
+// higher-ranked cells means the nearest one may be anywhere spatially
+// (bad for shells) but is cheap to find by trying them all.
 const dependencyScanCap = 128
 
 // nearestPick accumulates the nearest candidate with the lowest-ID
-// tie-break every dependency search in this package must apply, so the
-// determinism rule lives in exactly one place.
+// tie-break every dependency decision in this package must apply, from
+// scratch or incremental, so the determinism rule lives in exactly one
+// place.
 type nearestPick struct {
 	best *Cell
 	dist float64
 }
 
-func (p *nearestPick) consider(o *Cell, d float64) {
-	if math.IsInf(d, 1) {
-		// Incomparable seeds (numeric vs token-set) are never a
-		// dependency, even when nothing else is admissible.
-		return
-	}
-	if p.best == nil || d < p.dist || (d == p.dist && o.id < p.best.id) {
-		p.best, p.dist = o, d
-	}
+// beats reports whether candidate o at distance d displaces the pick:
+// strictly nearer, or equally near with a lower ID. Incomparable seeds
+// (numeric vs token-set, d = +Inf) never do, even when nothing else is
+// admissible.
+func (p *nearestPick) beats(o *Cell, d float64) bool {
+	return !math.IsInf(d, 1) && (p.best == nil || d < p.dist || d == p.dist && o.id < p.best.id)
 }
 
-// linkPick installs a search result as c's dependency (or makes c a
-// root when the search found nothing).
-func (t *dpTree) linkPick(c *Cell, p nearestPick) {
-	if p.best == nil {
-		t.unlink(c)
-		return
+func (p *nearestPick) consider(o *Cell, d float64) {
+	if p.beats(o, d) {
+		p.best, p.dist = o, d
 	}
-	t.link(c, p.best, p.dist)
 }
 
 // computeDependency finds c's nearest active cell with higher density
@@ -305,58 +297,49 @@ func (t *dpTree) linkPick(c *Cell, p nearestPick) {
 // root (no dependency). Distance ties break toward the lowest cell ID
 // so the result does not depend on iteration order (or on the index
 // backing the search).
+//
+// Only the density buckets at or above c's key can hold a cell that
+// outranks c, so the exact search tries those. On a gridded stream
+// where more than dependencyScanCap cells lie there, it expands grid
+// shells around c's seed instead, which terminates quickly because
+// higher-ranked cells are plentiful.
 func (t *dpTree) computeDependency(c *Cell, now float64) {
-	if t.accel != nil {
-		t.computeDependencyIndexed(c, now)
-		return
-	}
-	var pick nearestPick
-	for _, o := range t.list {
-		if o == c || !t.outranks(o, c, now) {
-			continue
-		}
-		pick.consider(o, t.seedDist(c, o))
-	}
-	t.linkPick(c, pick)
-}
-
-// computeDependencyIndexed is computeDependency on gridded streams. It
-// picks between two exact strategies: when few active cells outrank c
-// (c is near the top of the density order), it simply tries them all
-// via the density buckets; otherwise it expands grid shells around c's
-// seed, which terminates quickly because higher-ranked cells are
-// plentiful.
-func (t *dpTree) computeDependencyIndexed(c *Cell, now float64) {
 	above := t.densKeys[t.densFrom(densBucketOf(c.logNorm-logBandSlack)):]
-	higher := 0
-	for _, b := range above {
-		if higher += len(t.byDensity[b]); higher > dependencyScanCap {
-			break
-		}
-	}
-	if higher <= dependencyScanCap {
-		var pick nearestPick
+	if t.accel != nil {
+		higher := 0
 		for _, b := range above {
-			bucket := t.byDensity[b]
-			for i := range bucket {
-				o := bucket[i].cell
-				if o == c || !t.outranks(o, c, now) {
-					continue
-				}
-				pick.consider(o, t.seedDist(c, o))
+			if higher += len(t.byDensity[b]); higher > dependencyScanCap {
+				break
 			}
 		}
-		t.linkPick(c, pick)
-		return
+		if higher > dependencyScanCap {
+			t.predCell, t.predNow = c, now
+			slot, d, ok := t.accel.NearestWhere(c.seed, t.higherPred)
+			t.predCell = nil
+			if !ok {
+				t.unlink(c)
+				return
+			}
+			t.link(c, t.slab.at(slot), d)
+			return
+		}
 	}
-	t.predCell, t.predNow = c, now
-	slot, d, ok := t.accel.NearestWhere(c.seed, t.higherPred)
-	t.predCell = nil
-	if !ok {
+	var pick nearestPick
+	for _, b := range above {
+		bucket := t.byDensity[b]
+		for i := range bucket {
+			o := bucket[i].cell
+			if o == c || !t.outranks(o, c, now) {
+				continue
+			}
+			pick.consider(o, t.seedDist(c, o))
+		}
+	}
+	if pick.best == nil {
 		t.unlink(c)
 		return
 	}
-	t.link(c, t.slab.at(slot), d)
+	t.link(c, pick.best, pick.dist)
 }
 
 // seedDist returns the distance between the seeds of a and b, read
@@ -368,87 +351,24 @@ func (t *dpTree) seedDist(a, b *Cell) float64 {
 	return a.distanceToCell(b)
 }
 
-// distanceBelow reports whether the seed distance between o and c is
-// strictly below bound, returning the distance when it is.
-func (t *dpTree) distanceBelow(o, c *Cell, bound float64) (float64, bool) {
-	if o.col && c.col {
-		return belowBound(t.seeds.Row(o.slot), t.seeds.Row(c.slot), bound)
-	}
-	if d := o.distanceToCell(c); d < bound {
-		return d, true
-	}
-	return 0, false
-}
-
-// belowBound is distanceBelow for two vectors of equal length. The
-// comparison runs in the squared domain, so the square root — a large
-// share of a candidate examination on the dependency-update hot path —
-// is only taken for the candidates that actually link.
-func belowBound(a, b []float64, bound float64) (float64, bool) {
+// withinBound returns the Euclidean distance between two vectors of
+// equal length — bit for bit what distance.Euclid returns — unless it
+// certainly exceeds bound, when ok is false. The test runs in the
+// squared domain, so the square root, a large share of a candidate
+// examination on the dependency-update hot path, is only taken near or
+// below the bound. bound² rounds either way, so the test keeps a margin
+// (relative, and absolute for the subnormal range): a distance of
+// exactly bound always comes back, and the caller decides on it.
+func withinBound(a, b []float64, bound float64) (float64, bool) {
 	var sum float64
 	for i, x := range a {
 		d := x - b[i]
 		sum += d * d
 	}
-	if sum < bound*bound {
-		return math.Sqrt(sum), true
+	if sum > bound*bound*(1+0x1p-30)+0x1p-1000 {
+		return 0, false
 	}
-	return 0, false
-}
-
-// relink is one dependency move retargetLower decided on.
-type relink struct {
-	cell *Cell
-	dist float64
-}
-
-// retargetLower checks every active cell ranked below c and relinks it
-// to c when c is closer than its current dependency. It is the
-// complement of computeDependency when a cell enters the tree or rises
-// in density: those lower-ranked cells gained exactly one member (c) in
-// their higher-density set, so their dependency either stays or becomes
-// c (Sec. 4.2).
-//
-// Only the density buckets at or below c's key can hold such cells, and
-// each is tested on its band entry's inline key, δ and seed row; a cell
-// is dereferenced only to break a near-tie or to be relinked. Relinks
-// are applied in active-list order, so c's children list and the dirty
-// list come out as a scan of the whole list would leave them.
-func (t *dpTree) retargetLower(c *Cell, now float64) {
-	var cv []float64
-	if c.col {
-		cv = t.seeds.Row(c.slot)
-	}
-	hi := densBucketOf(c.logNorm + logBandSlack)
-	moves := t.relinks[:0]
-	for _, b := range t.densKeys {
-		if b > hi {
-			break
-		}
-		bucket := t.byDensity[b]
-		for i := range bucket {
-			o := &bucket[i]
-			if o.cell == c || t.outranksBy(o.logNorm-c.logNorm, o.cell, c, now) {
-				continue
-			}
-			var d float64
-			var below bool
-			if o.col && cv != nil {
-				d, below = belowBound(t.seeds.Row(o.slot), cv, o.delta)
-			} else {
-				d, below = t.distanceBelow(o.cell, c, o.delta)
-			}
-			if below {
-				moves = append(moves, relink{o.cell, d})
-			}
-		}
-	}
-	slices.SortFunc(moves, func(a, b relink) int { return cmp.Compare(a.cell.treeIdx, b.cell.treeIdx) })
-	for _, m := range moves {
-		t.link(m.cell, c, m.dist)
-	}
-	clear(moves)
-	t.relinks = moves[:0]
+	return math.Sqrt(sum), true
 }
 
 // subtree returns c and every cell transitively depending on it.
@@ -544,7 +464,7 @@ func (t *dpTree) checkInvariants(now float64) string {
 		return "DP-Tree has no root"
 	}
 	// Every root must be maximal: no active cell may outrank it at a
-	// finite distance (otherwise computeDependency/retargetLower failed
+	// finite distance (otherwise computeDependency/relinkToward failed
 	// to link it). On a single-metric stream this implies exactly one
 	// root; streams mixing numeric and token-set points legitimately
 	// hold one root per metric space, since cross-type distances are

@@ -2,7 +2,10 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+
+	"github.com/densitymountain/edmstream/internal/distance"
 )
 
 // buildTestTree creates a DP-Tree with cells at the given 1-D positions
@@ -124,22 +127,60 @@ func TestPeakOf(t *testing.T) {
 	}
 }
 
-func TestRetargetLower(t *testing.T) {
-	tree, cells := buildTestTree(t,
-		[]float64{0, 1, 2, 10, 11, 12},
-		[]float64{9, 10, 8, 5, 6, 4},
-	)
-	// Insert a brand-new dense cell at position 9.5: the right-mountain
-	// cells are all lower-density and closer to it than to their old
-	// dependencies, so they must relink.
-	c := newCell(100, numericPoint(100, 0, 9.5))
-	c.rho = 7
-	insertTestCell(tree, c)
-	tree.computeDependency(c, 0)
-	tree.retargetLower(c, 0)
-	if msg := tree.checkInvariants(0); msg != "" {
-		t.Fatalf("invariants violated after retarget: %s", msg)
+// newTestEngine returns an engine for hand-built DP-Trees at stream
+// time 0; addTestCell places its cells.
+func newTestEngine(t *testing.T) *EDMStream {
+	t.Helper()
+	e, err := New(Config{Radius: 0.5})
+	if err != nil {
+		t.Fatal(err)
 	}
+	return e
+}
+
+// addTestCell registers an inactive cell with the given ID, density
+// (anchored at time 0) and seed on e; e.maybePromote moves it into the
+// DP-Tree along the engine's promotion path.
+func addTestCell(e *EDMStream, id int64, rho float64, coords ...float64) *Cell {
+	c := newCell(id, numericPoint(id, 0, coords...))
+	c.rho = rho
+	e.addCell(c)
+	e.res.add(c)
+	return c
+}
+
+// promoteTestCells promotes cells in order, each linking its own
+// dependency and relinking the active cells it outranks.
+func promoteTestCells(t *testing.T, e *EDMStream, cells ...*Cell) {
+	t.Helper()
+	for _, c := range cells {
+		e.maybePromote(c, 0)
+		if !c.active {
+			t.Fatalf("cell %d (density %v) was not promoted", c.id, c.rho)
+		}
+	}
+	if err := e.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkNearestDependencies(e); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestPromotionRelinksLower(t *testing.T) {
+	e := newTestEngine(t)
+	positions := []float64{0, 1, 2, 10, 11, 12}
+	densities := []float64{9, 10, 8, 5, 6, 4}
+	cells := make([]*Cell, len(positions))
+	for i := range positions {
+		cells[i] = addTestCell(e, int64(i+1), densities[i], positions[i])
+	}
+	promoteTestCells(t, e, cells...)
+	// Promote a dense cell at position 9.5: the right-mountain cells are
+	// all lower-density and closer to it than to their old dependencies,
+	// so they must relink.
+	c := addTestCell(e, 100, 7, 9.5)
+	promoteTestCells(t, e, c)
 	if cells[4].Dependency() != c {
 		t.Errorf("right peak should now depend on the new cell")
 	}
@@ -150,6 +191,97 @@ func TestRetargetLower(t *testing.T) {
 	// which is position 2 (density 8).
 	if c.Dependency() != cells[2] {
 		t.Errorf("new cell depends on cell %d, want position-2 cell", c.Dependency().ID())
+	}
+}
+
+// depID returns the ID of c's dependency, -1 for a root.
+func depID(c *Cell) int64 {
+	if c.dep == nil {
+		return -1
+	}
+	return c.dep.id
+}
+
+// TestRelinkTieGoesToLowerID pins the tie rule of incremental relinks
+// to computeDependency's: cell o depends on x (ID 3) at distance 2, and
+// when y (ID 1), also at distance exactly 2, overtakes o — by absorbing
+// points or by promotion — o must move to y, the lower ID.
+func TestRelinkTieGoesToLowerID(t *testing.T) {
+	check := func(t *testing.T, e *EDMStream, o, y *Cell) {
+		t.Helper()
+		if err := e.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkNearestDependencies(e); err != nil {
+			t.Fatal(err)
+		}
+		if o.dep != y || o.delta != 2 {
+			t.Fatalf("cell %d depends on %d at δ %v, want cell %d at 2", o.id, depID(o), o.delta, y.id)
+		}
+	}
+	t.Run("absorption", func(t *testing.T) {
+		e := newTestEngine(t)
+		y := addTestCell(e, 1, 4, -2)
+		o := addTestCell(e, 2, 5, 0)
+		x := addTestCell(e, 3, 10, 2)
+		promoteTestCells(t, e, x, o, y)
+		if o.dep != x {
+			t.Fatalf("setup: cell o depends on %d, want x", depID(o))
+		}
+		e.initialized = true
+		for range 2 {
+			if err := e.Insert(numericPoint(0, 0, -2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !higherRanked(y, o, 0, e.cfg.Decay) {
+			t.Fatalf("setup: y (density %v) does not outrank o (%v)", y.rho, o.rho)
+		}
+		check(t, e, o, y)
+	})
+	t.Run("promotion", func(t *testing.T) {
+		e := newTestEngine(t)
+		y := addTestCell(e, 1, 6, -2)
+		o := addTestCell(e, 2, 5, 0)
+		x := addTestCell(e, 3, 10, 2)
+		promoteTestCells(t, e, x, o)
+		if o.dep != x {
+			t.Fatalf("setup: cell o depends on %d, want x", depID(o))
+		}
+		promoteTestCells(t, e, y)
+		check(t, e, o, y)
+	})
+}
+
+// TestWithinBoundKeepsExactBound: the squared-domain pre-filter of the
+// relink loop never rejects a seed at exactly the bound, and returns
+// the distance bit for bit as distance.Euclid measures it, so the tie
+// rule sees every exact tie.
+func TestWithinBoundKeepsExactBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	check := func(a, b []float64) {
+		t.Helper()
+		want := distance.Euclid(a, b)
+		for _, args := range [][2][]float64{{a, b}, {b, a}} {
+			d, ok := withinBound(args[0], args[1], want)
+			if !ok || math.Float64bits(d) != math.Float64bits(want) {
+				t.Fatalf("withinBound(%v, %v, %v) = %v, %v; want the bound itself", args[0], args[1], want, d, ok)
+			}
+		}
+	}
+	for range 100000 {
+		dim := 1 + rng.Intn(8)
+		a, b := make([]float64, dim), make([]float64, dim)
+		for i := range a {
+			a[i], b[i] = rng.NormFloat64()*10, rng.NormFloat64()*10
+		}
+		check(a, b)
+	}
+	check([]float64{0}, []float64{1e-160})
+	check([]float64{0, 0}, []float64{3e-170, 4e-170})
+	check([]float64{1e300}, []float64{-1e300})
+	if _, ok := withinBound([]float64{0, 0}, []float64{3, 4}, 4.99); ok {
+		t.Error("withinBound kept a seed well beyond the bound")
 	}
 }
 

@@ -98,16 +98,14 @@ type EDMStream struct {
 	// Scratch buffers reused across calls so steady-state ingestion
 	// does not allocate: one backs single-point Inserts, demote/repair
 	// back the sweep, ordered backs sortedCells, deltas backs the
-	// adaptive-τ retune, part the partition handed to the evolution
-	// tracker and everyCell the dependency update without the density
-	// filter.
-	one       [1]stream.Point
-	demote    []*Cell
-	repair    []*Cell
-	ordered   []*Cell
-	deltas    []float64
-	part      []obsCluster
-	everyCell []densEntry
+	// adaptive-τ retune and part the partition handed to the evolution
+	// tracker.
+	one     [1]stream.Point
+	demote  []*Cell
+	repair  []*Cell
+	ordered []*Cell
+	deltas  []float64
+	part    []obsCluster
 }
 
 // probe is one slot's entry in the triangle-filter distance column.
@@ -666,6 +664,11 @@ func (e *EDMStream) nearestSeed(p stream.Point) (*Cell, float64, bool) {
 // conservative (skipping is only ever an optimization, per Theorem 1).
 const logBandSlack = 1e-6
 
+// noStamp is a triangle-filter stamp no probe carries (probe stamps
+// are point counters, from 1): passed to relinkToward, it turns the
+// filter off.
+const noStamp = -1
+
 // updateDependenciesBand restores the DP-Tree invariants after cell c
 // absorbed one or more points, the last at stream time now, applying
 // the density filter (Theorem 1) and the triangle-inequality filter
@@ -679,86 +682,27 @@ const logBandSlack = 1e-6
 // now) costs no logarithms and makes consecutive per-point bands tile
 // a coalesced run's combined band float-exactly.
 func (e *EDMStream) updateDependenciesBand(c *Cell, logBefore, now float64, stamp int64) {
-	toC := e.probes[c.slot]
-	triangle := e.cfg.Filters&FilterTriangle != 0 && toC.stamp == stamp
-	var cv []float64
-	if c.col {
-		cv = e.seeds.Row(c.slot)
-	}
-
-	// scan examines the entries of bucket other than c's own; with the
-	// density filter on, only those whose key lies in [lo, hi).
-	examined, filtered := int64(0), int64(0)
-	scan := func(bucket []densEntry, lo, hi float64) {
-		for i := range bucket {
-			o := &bucket[i]
-			if o.cell == c {
-				continue
-			}
-			examined++
-			if o.logNorm < lo || o.logNorm >= hi {
-				filtered++
-				continue
-			}
-			if triangle {
-				// Theorem 2: ||p,s_o| − |p,s_c|| is a lower bound on
-				// |s_o,s_c|; if it already exceeds o's dependent
-				// distance, c cannot become o's new dependency.
-				if toO := e.probes[o.slot]; toO.stamp == stamp && math.Abs(toO.dist-toC.dist) > o.delta {
-					e.stats.FilteredByTriangle++
-					continue
-				}
-			}
-			if !e.tree.outranksBy(c.logNorm-o.logNorm, c, o.cell, now) {
-				continue
-			}
-			var d float64
-			var below bool
-			if o.col && cv != nil {
-				d, below = belowBound(e.seeds.Row(o.slot), cv, o.delta)
-			} else {
-				d, below = e.tree.distanceBelow(o.cell, c, o.delta)
-			}
-			if below {
-				e.tree.link(o.cell, c, d)
-				e.stats.DependencyRelinks++
-			}
-		}
-	}
-
-	e.stats.DependencyCandidates += int64(len(e.tree.list) - 1)
+	// Theorem 1: only cells whose density lies in the band the
+	// absorption(s) moved c across can see their dependency move — c
+	// outranked everything below the band already, and still does not
+	// outrank anything at or above it. The slack absorbs log rounding,
+	// erring toward examining. Without the density filter the band is
+	// every key.
+	lo, hi := math.Inf(-1), math.Inf(1)
 	if e.cfg.Filters&FilterDensity != 0 {
-		// Theorem 1: only cells whose density lies in the band the
-		// absorption(s) moved c across can see their dependency move —
-		// c outranked everything below the band already, and still
-		// does not outrank anything at or above it. The band is a range
-		// of logNorm keys (the slack absorbs log rounding, erring
-		// toward examining), so only the density buckets covering the
-		// band are enumerated — every skipped cell is filtered by
-		// density without being touched.
-		bandLo := logBefore - logBandSlack
-		bandHi := c.logNorm + logBandSlack
-		// The occupied buckets covering the band, in key order: a
-		// superset of the band; the per-cell check in scan stays
-		// authoritative.
-		hi := densBucketOf(bandHi)
-		for _, b := range e.tree.densKeys[e.tree.densFrom(densBucketOf(bandLo)):] {
-			if b > hi {
-				break
-			}
-			scan(e.tree.byDensity[b], bandLo, bandHi)
-		}
-		e.stats.FilteredByDensity += filtered + int64(len(e.tree.list)-1) - examined
-	} else {
-		// Every active cell, in list order, as entries of one bucket.
-		all := e.everyCell[:0]
-		for _, o := range e.tree.list {
-			all = append(all, densEntry{logNorm: o.logNorm, delta: o.delta, cell: o, slot: o.slot, col: o.col})
-		}
-		scan(all, math.Inf(-1), math.Inf(1))
-		clear(all)
-		e.everyCell = all[:0]
+		lo, hi = logBefore-logBandSlack, c.logNorm+logBandSlack
 	}
+	if e.cfg.Filters&FilterTriangle == 0 {
+		stamp = noStamp
+	}
+	tally := e.relinkToward(c, lo, hi, now, stamp)
+	others := int64(len(e.tree.list) - 1)
+	e.stats.DependencyCandidates += others
+	// Every cell the band walk did not reach is filtered by density
+	// without being touched.
+	e.stats.FilteredByDensity += tally.outOfBand + others - tally.examined
+	e.stats.FilteredByTriangle += tally.triangle
+	e.stats.DependencyRelinks += tally.moved
 
 	// c's own dependency: absorbing only raises c's decay-normalized
 	// rank, so its higher-density set can only have shrunk. A root
@@ -771,9 +715,99 @@ func (e *EDMStream) updateDependenciesBand(c *Cell, logBefore, now float64, stam
 	}
 }
 
+// relinkTally counts one relinkToward pass: the cells examined (every
+// cell in the walked buckets but c), those outside the key band, those
+// the triangle filter skipped, and the dependencies moved.
+type relinkTally struct {
+	examined, outOfBand, triangle, moved int64
+}
+
+// relinkToward moves to c the dependency of every active cell o whose
+// key lies in [lo, hi), that c outranks at time now and for which c is
+// the better dependency under the tie rule of computeDependency:
+// |o,c| < δ_o, or |o,c| = δ_o and c's ID is below that of o's current
+// dependency. It is the one relink rule of the DP-Tree, run whenever c
+// rose in rank (Sec. 4.2): a cell c overtakes gains one member, c, in
+// its higher-ranked set, so its dependency either stays or becomes c.
+// An absorption passes the Theorem 1 band, a promotion every key up to
+// c's own, and the unfiltered mode every key.
+//
+// Only the density buckets covering [lo, hi) are walked, each entry
+// tested on its inline key, δ and seed row; a cell is dereferenced only
+// to break a near-tie or to be relinked. With a stamp other than
+// noStamp the triangle filter (Theorem 2) skips cells whose probe
+// distances bound |o,c| above δ_o. The decision is made on the same
+// float64 distance computeDependency would measure, so an incremental
+// relink and a search from scratch agree bit for bit.
+func (e *EDMStream) relinkToward(c *Cell, lo, hi, now float64, stamp int64) relinkTally {
+	t := e.tree
+	var tally relinkTally
+	toC := e.probes[c.slot]
+	triangle := stamp != noStamp && toC.stamp == stamp
+	var cv []float64
+	if c.col {
+		cv = e.seeds.Row(c.slot)
+	}
+	// The occupied buckets covering the band, in key order: a superset
+	// of the band; the per-cell key check stays authoritative.
+	keys, last := t.densKeys, int64(math.MaxInt64)
+	if !math.IsInf(lo, -1) {
+		keys = keys[t.densFrom(densBucketOf(lo)):]
+	}
+	if !math.IsInf(hi, 1) {
+		last = densBucketOf(hi)
+	}
+	for _, b := range keys {
+		if b > last {
+			break
+		}
+		bucket := t.byDensity[b]
+		for i := range bucket {
+			o := &bucket[i]
+			if o.cell == c {
+				continue
+			}
+			tally.examined++
+			if o.logNorm < lo || o.logNorm >= hi {
+				tally.outOfBand++
+				continue
+			}
+			// Theorem 2: ||p,s_o| − |p,s_c|| is a lower bound on
+			// |s_o,s_c|; if it already exceeds o's dependent distance,
+			// c cannot become o's new dependency.
+			if triangle {
+				if toO := e.probes[o.slot]; toO.stamp == stamp && math.Abs(toO.dist-toC.dist) > o.delta {
+					tally.triangle++
+					continue
+				}
+			}
+			if !t.outranksBy(c.logNorm-o.logNorm, c, o.cell, now) {
+				continue
+			}
+			var d float64
+			if o.col && cv != nil {
+				var near bool
+				if d, near = withinBound(e.seeds.Row(o.slot), cv, o.delta); !near {
+					continue
+				}
+			} else {
+				d = t.seedDist(o.cell, c)
+			}
+			if held := (nearestPick{o.cell.dep, o.delta}); held.beats(c, d) {
+				t.link(o.cell, c, d)
+				tally.moved++
+			}
+		}
+	}
+	return tally
+}
+
 // maybePromote moves an inactive cell into the DP-Tree once its timely
 // density reaches the active threshold (cluster-cell emergence,
-// Sec. 4.3).
+// Sec. 4.3). The newcomer outranks every active cell below it, so it
+// may become their dependency: a relink over every key up to its own,
+// with the triangle filter off (no probe measured the cells against
+// it) and no Theorem 1/2 counters.
 func (e *EDMStream) maybePromote(c *Cell, now float64) {
 	if c.active || c.Density(now, e.cfg.Decay) < e.activeThreshold() {
 		return
@@ -785,7 +819,7 @@ func (e *EDMStream) maybePromote(c *Cell, now float64) {
 	e.res.remove(c)
 	e.tree.insert(c)
 	e.tree.computeDependency(c, now)
-	e.tree.retargetLower(c, now)
+	e.relinkToward(c, math.Inf(-1), c.logNorm+logBandSlack, now, noStamp)
 	e.stats.Promotions++
 	if e.cfg.DetailedStats {
 		e.stats.DependencyUpdateTime += time.Since(start)

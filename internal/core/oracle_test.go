@@ -11,18 +11,16 @@ import (
 // that outrank it — strictly higher density at the engine's clock, the
 // lower cell ID on an exact tie — and requires the cell's dependency to
 // be the nearest of them at a δ equal bit for bit to that seed
-// distance. A cell nothing outranks at a finite distance must be a root
-// with δ = +Inf.
+// distance, the lowest ID among equally near candidates. A cell nothing
+// outranks at a finite distance must be a root with δ = +Inf.
 //
-// Among equally near candidates it requires the lowest ID only when
-// strict is set. The engine applies that rule when it searches a
-// dependency from scratch, but its incremental relinks (the Theorem 1
-// band update and retargetLower) move a dependency only to a strictly
-// nearer cell, so a tie that forms incrementally keeps the older link.
-// Exact distance ties need equal Jaccard ratios or equal coordinates:
-// common on token-set streams, absent from the numeric streams the
-// suites check strictly.
-func checkNearestDependencies(e *EDMStream, strict bool) error {
+// The engine applies the lowest-ID rule both when it searches a
+// dependency from scratch and when a cell that rose in rank takes over
+// a dependency (relinkToward), so the oracle is strict on every
+// stream. Exact distance ties need equal Jaccard ratios or equal
+// coordinate offsets: common on token-set streams, rare on numeric
+// ones.
+func checkNearestDependencies(e *EDMStream) error {
 	now, decay := e.now, e.cfg.Decay
 	active := e.tree.list
 	outranks := func(o, c *Cell) bool {
@@ -48,11 +46,7 @@ func checkNearestDependencies(e *EDMStream, strict bool) error {
 		if want != nil {
 			wantID = want.id
 		}
-		ok := got == wantID
-		if !ok && !strict && c.dep != nil && want != nil {
-			ok = c.dep.active && outranks(c.dep, c) && c.seed.Distance(c.dep.seed) == wantDist
-		}
-		if !ok || math.Float64bits(c.delta) != math.Float64bits(wantDist) {
+		if got != wantID || math.Float64bits(c.delta) != math.Float64bits(wantDist) {
 			return fmt.Errorf("cell %d depends on %d at δ %v; its nearest higher-ranked cell is %d at %v",
 				c.id, got, c.delta, wantID, wantDist)
 		}
@@ -66,20 +60,10 @@ const oracleEvery = 100
 
 // checkOracleAt runs checkNearestDependencies when a batch ending at
 // point index end (exclusive) crossed a multiple of oracleEvery since
-// start. It is strict unless the engine holds token-set seeds.
+// start.
 func checkOracleAt(e *EDMStream, start, end int) error {
 	if start/oracleEvery == end/oracleEvery {
 		return nil
 	}
-	return checkNearestDependencies(e, numericOnly(e))
-}
-
-// numericOnly reports whether every active cell has a numeric seed.
-func numericOnly(e *EDMStream) bool {
-	for _, c := range e.tree.list {
-		if c.seed.IsText() {
-			return false
-		}
-	}
-	return true
+	return checkNearestDependencies(e)
 }
